@@ -85,10 +85,9 @@ BoresightSystem::BoresightSystem(const Config& cfg)
                 link_seed(cfg.link_fault_seed, kAccLinkSalt,
                           kLegacyAccLinkSeed)),
       bridge_(dmu_uart_),
-      tuner_(cfg.tuner),
-      monitor_(cfg.monitor_window, cfg.monitor_alarm_rate,
-               cfg.monitor_min_samples),
-      supervisor_(cfg.supervisor),
+      tail_(cfg.monitor_window, cfg.monitor_alarm_rate,
+            cfg.monitor_min_samples, cfg.use_adaptive_tuner, cfg.tuner,
+            cfg.supervisor),
       apply_acc_bias_(cfg.calibrated_bias[0] != 0.0 ||
                       cfg.calibrated_bias[1] != 0.0) {
     // Single-listener fast path: a raw trampoline instead of std::function.
@@ -126,7 +125,6 @@ void BoresightSystem::feed(const sim::ScenarioTrace& trace, const double t,
     // ACC -> duty-cycle packet straight onto its serial line.
     comm::adxl_serialize_into(adxl, scratch_.acc_packet);
     acc_uart_.send(scratch_.acc_packet, t);
-    ++sent_epochs_;
 
     // Advance the transport slightly past this epoch and drain arrivals
     // straight into the decoders — no per-call byte vectors.
@@ -168,41 +166,26 @@ void BoresightSystem::feed(const sim::ScenarioTrace& trace, const double t,
     // Liveness watchdogs see every epoch, delivered or not — that is the
     // whole point: starvation regimes produce no residuals for the monitor,
     // but they still produce (empty) epochs here.
-    HealthSupervisor::Event ev;
-    ev.t = t;
-    ev.dt_s = 1.0 / trace.sample_rate_hz();
-    ev.dmu_delivered = epoch_dmu_delivered_;
-    ev.acc_delivered = epoch_acc_delivered_;
-    ev.fused = fused;
-    const auto verdict = supervisor_.observe(ev);
+    const auto epoch = tail_.epoch({.t = t,
+                                    .dt_s = 1.0 / trace.sample_rate_hz(),
+                                    .dmu_delivered = epoch_dmu_delivered_,
+                                    .acc_delivered = epoch_acc_delivered_,
+                                    .fused = fused});
 
-    // Honest coast mode: while updates stall, the angle uncertainty grows
-    // as a random walk of the configured intensity instead of freezing at
-    // its last confident value. Natively the EKF covariance itself grows
-    // (so post-outage gains are honest too); on the Sabre path the
-    // covariance lives inside the firmware, so the growth accumulates
-    // host-side and is folded into the reported 3σ.
-    const double rate = cfg_.supervisor.coast_sigma_rate;
-    if (verdict.coast_dt_s > 0.0 && rate > 0.0) {
-        const double var = rate * rate * verdict.coast_dt_s;
+    // Coast growth: natively the EKF covariance itself grows (so
+    // post-outage gains are honest too); on the Sabre path the covariance
+    // lives inside the firmware, so the growth accumulates host-side and
+    // is folded into the reported 3σ until the run recovers. The native
+    // EKF needs nothing on recovery: its grown covariance contracts
+    // through the resumed updates on its own.
+    if (epoch.coast_var > 0.0) {
         if (native_) {
-            native_->grow_angle_covariance(var);
+            native_->grow_angle_covariance(epoch.coast_var);
         } else {
-            coast_var_ += var;
+            coast_var_ += epoch.coast_var;
         }
     }
-
-    if (verdict.recovered) {
-        // Sustained-clean return to nominal: re-arm the residual monitor
-        // so its exceedance window starts fresh on the recovered link
-        // (the Status latch keeps any earlier alarm visible), and retire
-        // the Sabre-side coast inflation — the estimate has demonstrably
-        // re-converged. The native EKF needs nothing: its grown covariance
-        // contracts through the resumed updates on its own.
-        monitor_latched_ = monitor_latched_ || monitor_.flagged();
-        monitor_.reset();
-        coast_var_ = 0.0;
-    }
+    if (epoch.recovered) coast_var_ = 0.0;
 }
 
 void BoresightSystem::process_pair(const comm::DmuSample& dmu,
@@ -223,21 +206,11 @@ void BoresightSystem::process_pair(const comm::DmuSample& dmu,
             sabre_->push(dmu, acc);
         }
         const auto est = sabre_->run_pending();
-        residual_stats_.add(est.residual[0]);
-        residual_stats_.add(est.residual[1]);
-        monitor_.add(est.residual, est.innov_sigma3);
-        if (monitor_.flagged() && monitor_flag_t_ < 0.0) {
-            monitor_flag_t_ = dmu.t;
-        }
-        if (cfg_.use_adaptive_tuner) {
-            // The same §11 retune loop as the native path, driven by the
-            // firmware-published innovation statistics; a recommendation
-            // lands in the firmware's writable R register and takes effect
-            // from its next update.
-            const double rec = tuner_.observe(est.residual, est.innov_sigma3,
-                                              sabre_->measurement_noise());
-            if (rec > 0.0) sabre_->set_measurement_noise(rec);
-        }
+        // A tuner recommendation lands in the firmware's writable R
+        // register and takes effect from its next update.
+        const double rec = tail_.update(est.residual, est.innov_sigma3, dmu.t,
+                                        sabre_->measurement_noise());
+        if (rec > 0.0) sabre_->set_measurement_noise(rec);
         return;
     }
     Vec3 f_body;
@@ -246,17 +219,9 @@ void BoresightSystem::process_pair(const comm::DmuSample& dmu,
     const auto [ax, ay] = comm::adxl_decode(acc, adxl_);
     const Vec2 z = Vec2{ax, ay} - cfg_.calibrated_bias;
     const auto up = native_->step(f_body, z);
-    residual_stats_.add(up.residual[0]);
-    residual_stats_.add(up.residual[1]);
-    monitor_.add(up.residual, up.sigma3);
-    if (monitor_.flagged() && monitor_flag_t_ < 0.0) {
-        monitor_flag_t_ = dmu.t;
-    }
-    if (cfg_.use_adaptive_tuner) {
-        const double rec =
-            tuner_.observe(up.residual, up.sigma3, native_->measurement_noise());
-        if (rec > 0.0) native_->set_measurement_noise(rec);
-    }
+    const double rec = tail_.update(up.residual, up.sigma3, dmu.t,
+                                    native_->measurement_noise());
+    if (rec > 0.0) native_->set_measurement_noise(rec);
 }
 
 BoresightSystem::Status BoresightSystem::status() const {
@@ -285,21 +250,7 @@ BoresightSystem::Status BoresightSystem::status() const {
                         dmu_codec_.bad_checksum();
     s.acc_packets_lost = acc_deser_.bad_checksum() + implausible_acc_;
     s.worst_transport_latency = can_.max_latency();
-    s.residual_rms = residual_stats_.rms();
-    s.tuner_adjustments = tuner_.adjustments();
-    s.residual_flagged = monitor_.flagged() || monitor_latched_;
-    s.residual_flag_s = monitor_flag_t_;
-    s.residual_windowed_rate = monitor_.windowed_rate();
-    s.residual_exceedances = monitor_.exceedances();
-    s.health = supervisor_.state();
-    s.worst_health = supervisor_.worst_state();
-    s.supervisor_alarmed = supervisor_.alarmed();
-    s.supervisor_alarm_s = supervisor_.alarm_s();
-    s.dmu_delivery_rate = supervisor_.dmu_delivery_rate();
-    s.acc_delivery_rate = supervisor_.acc_delivery_rate();
-    s.coast_s = supervisor_.coast_s();
-    s.recoveries = supervisor_.recoveries();
-    s.reconvergence_s = supervisor_.last_recovery_s();
+    tail_.fill(s);
     s.acc_implausible = implausible_acc_;
     return s;
 }

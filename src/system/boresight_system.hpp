@@ -8,13 +8,11 @@
 #include "comm/can.hpp"
 #include "comm/codec.hpp"
 #include "comm/uart.hpp"
-#include "core/adaptive_tuner.hpp"
 #include "core/boresight_ekf.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario.hpp"
-#include "system/health_supervisor.hpp"
+#include "system/fusion_tail.hpp"
 #include "system/sabre_runner.hpp"
-#include "util/stats.hpp"
 
 namespace ob::system {
 
@@ -95,50 +93,8 @@ public:
         feed(sc.trace(), step.t, step.dmu, step.adxl);
     }
 
-    struct Status {
-        math::EulerAngles estimate{};
-        math::Vec3 sigma3{};
-        std::size_t updates = 0;
-        std::size_t dmu_frames_lost = 0;
-        std::size_t acc_packets_lost = 0;
-        double worst_transport_latency = 0.0;  ///< seconds, CAN queueing
-        double measurement_noise = 0.0;        ///< current filter R sigma
-        double residual_rms = 0.0;  ///< innovation RMS over both axes (m/s²)
-        std::size_t tuner_adjustments = 0;  ///< adaptive R changes applied
-        // Residual-health monitor outputs (the fault-campaign detector).
-        bool residual_flagged = false;  ///< latched 3-sigma-rate alarm
-        double residual_flag_s = -1.0;  ///< receive time of the latch; -1 never
-        double residual_windowed_rate = 0.0;  ///< exceedance rate, window
-        std::size_t residual_exceedances = 0;  ///< lifetime axis exceedances
-        // Health-supervisor outputs (the second, residual-free detector:
-        // liveness watchdogs + latched state machine + coast accounting).
-        HealthState health = HealthState::kNominal;  ///< current state
-        HealthState worst_health = HealthState::kNominal;  ///< lifetime worst
-        bool supervisor_alarmed = false;  ///< latched liveness alarm
-        double supervisor_alarm_s = -1.0;  ///< latch receive time; -1 never
-        double dmu_delivery_rate = 1.0;  ///< windowed per-link delivery rate
-        double acc_delivery_rate = 1.0;
-        double coast_s = 0.0;  ///< lifetime seconds spent coasting
-        std::size_t recoveries = 0;  ///< completed post-episode recoveries
-        /// Resume→recovered time of the most recent post-coast recovery
-        /// (the re-convergence report); -1 until one completes.
-        double reconvergence_s = -1.0;
-        /// ACC packets that passed the checksum but failed the physical
-        /// duty-cycle plausibility gate (counted since construction).
-        std::size_t acc_implausible = 0;
-    };
+    using Status = BoresightStatus;
     [[nodiscard]] Status status() const;
-
-    /// Direct access for advanced inspection.
-    [[nodiscard]] const core::BoresightEkf* native_filter() const {
-        return native_ ? native_.get() : nullptr;
-    }
-    [[nodiscard]] SabreFusionSystem* sabre_system() {
-        return sabre_ ? sabre_.get() : nullptr;
-    }
-    [[nodiscard]] const HealthSupervisor& supervisor() const {
-        return supervisor_;
-    }
 
     /// Swap both serial links' fault models mid-run (outage/recovery
     /// drills). The links' fault draws are counter-keyed on byte index, so
@@ -174,8 +130,6 @@ private:
     std::size_t implausible_acc_ = 0;
     std::optional<comm::DmuSample> pending_dmu_;
     std::optional<comm::AdxlTiming> pending_acc_;
-    std::uint8_t acc_seq_ = 0;
-    std::size_t sent_epochs_ = 0;
     /// Per-epoch liveness flags the drain sinks raise for the supervisor:
     /// a decoded DMU sample / plausibility-clean ACC timing landed during
     /// this feed call.
@@ -185,20 +139,12 @@ private:
     // Fusion processors.
     std::unique_ptr<core::BoresightEkf> native_;
     std::unique_ptr<SabreFusionSystem> sabre_;
-    core::AdaptiveNoiseTuner tuner_;
-    core::ResidualMonitor monitor_;  ///< always-on health detector
-    double monitor_flag_t_ = -1.0;   ///< receive time when the alarm latched
-    /// The monitor re-arms (reset) when the supervisor declares recovery;
-    /// this latch keeps Status::residual_flagged true for the system's
-    /// life once the alarm has tripped, re-arm or not.
-    bool monitor_latched_ = false;
-    HealthSupervisor supervisor_;
+    FusionTail tail_;
     /// Host-side accumulated coast variance (rad²) folded into the
     /// reported 3σ on the Sabre path, where the covariance lives inside
     /// the firmware; cleared when the supervisor declares recovery. The
     /// native path grows the EKF covariance directly instead.
     double coast_var_ = 0.0;
-    util::RunningStats residual_stats_;  ///< innovation samples, both axes
     std::size_t updates_ = 0;
     /// True when a nonzero calibrated bias must be folded into the raw ACC
     /// timings before the Sabre firmware sees them (the native EKF path

@@ -61,28 +61,17 @@ EnsembleNominalSystem::EnsembleNominalSystem(const BoresightSystem::Config& cfg,
     }
     lanes_.resize(lanes);
     for (auto& lane : lanes_) lane.calibrated_bias = cfg.calibrated_bias;
-    monitors_.reserve(lanes);
-    supervisors_.reserve(lanes);
-    tuners_.reserve(lanes);
-    stats_.resize(lanes);
+    tails_.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i) {
-        monitors_.emplace_back(cfg.monitor_window, cfg.monitor_alarm_rate,
-                               cfg.monitor_min_samples);
-        supervisors_.emplace_back(cfg.supervisor);
-        tuners_.emplace_back(cfg.tuner);
+        tails_.emplace_back(cfg.monitor_window, cfg.monitor_alarm_rate,
+                            cfg.monitor_min_samples, cfg.use_adaptive_tuner,
+                            cfg.tuner, cfg.supervisor);
     }
 }
 
 void EnsembleNominalSystem::set_calibrated_bias(std::size_t lane,
                                                 const Vec2& bias) {
     lanes_[lane].calibrated_bias = bias;
-}
-
-bool EnsembleNominalSystem::all_ok() const {
-    for (const auto& lane : lanes_) {
-        if (!lane.ok) return false;
-    }
-    return true;
 }
 
 void EnsembleNominalSystem::feed(const sim::ScenarioTrace& trace,
@@ -157,35 +146,20 @@ void EnsembleNominalSystem::feed(const sim::ScenarioTrace& trace,
         const auto [ax, ay] = comm::adxl_decode(adxl[l], adxl_cfg);
         const Vec2 z = Vec2{ax, ay} - lane.calibrated_bias;
         const auto up = ekf_.step(l, f_body, z);
-        stats_[l].add(up.residual[0]);
-        stats_[l].add(up.residual[1]);
-        monitors_[l].add(up.residual, up.sigma3);
-        if (monitors_[l].flagged() && lane.monitor_flag_t < 0.0) {
-            lane.monitor_flag_t = dmu_t;
-        }
-        if (cfg_.use_adaptive_tuner) {
-            const double rec = tuners_[l].observe(up.residual, up.sigma3,
-                                                  ekf_.measurement_noise(l));
-            if (rec > 0.0) ekf_.set_measurement_noise(l, rec);
-        }
+        const double rec = tails_[l].update(up.residual, up.sigma3, dmu_t,
+                                            ekf_.measurement_noise(l));
+        if (rec > 0.0) ekf_.set_measurement_noise(l, rec);
 
         // Supervisor epoch: on the nominal envelope every channel
-        // delivered and the pair fused, but the observe call still runs —
-        // its windows and streaks are part of the reported status.
-        HealthSupervisor::Event ev;
-        ev.t = t;
-        ev.dt_s = dt_s;
-        ev.dmu_delivered = true;
-        ev.acc_delivered = true;
-        ev.fused = true;
-        const auto verdict = supervisors_[l].observe(ev);
-        const double rate = cfg_.supervisor.coast_sigma_rate;
-        if (verdict.coast_dt_s > 0.0 && rate > 0.0) {
-            ekf_.grow_angle_covariance(l, rate * rate * verdict.coast_dt_s);
-        }
-        if (verdict.recovered) {
-            lane.monitor_latched = lane.monitor_latched || monitors_[l].flagged();
-            monitors_[l].reset();
+        // delivered and the pair fused, but the epoch still runs — its
+        // windows and streaks are part of the reported status.
+        const auto epoch = tails_[l].epoch({.t = t,
+                                            .dt_s = dt_s,
+                                            .dmu_delivered = true,
+                                            .acc_delivered = true,
+                                            .fused = true});
+        if (epoch.coast_var > 0.0) {
+            ekf_.grow_angle_covariance(l, epoch.coast_var);
         }
     }
 }
@@ -197,25 +171,8 @@ BoresightSystem::Status EnsembleNominalSystem::status(std::size_t l) const {
     s.sigma3 = ekf_.misalignment_sigma3(l);
     s.measurement_noise = ekf_.measurement_noise(l);
     s.updates = lane.updates;
-    s.dmu_frames_lost = 0;
-    s.acc_packets_lost = 0;
     s.worst_transport_latency = lane.can_max_latency;
-    s.residual_rms = stats_[l].rms();
-    s.tuner_adjustments = tuners_[l].adjustments();
-    s.residual_flagged = monitors_[l].flagged() || lane.monitor_latched;
-    s.residual_flag_s = lane.monitor_flag_t;
-    s.residual_windowed_rate = monitors_[l].windowed_rate();
-    s.residual_exceedances = monitors_[l].exceedances();
-    s.health = supervisors_[l].state();
-    s.worst_health = supervisors_[l].worst_state();
-    s.supervisor_alarmed = supervisors_[l].alarmed();
-    s.supervisor_alarm_s = supervisors_[l].alarm_s();
-    s.dmu_delivery_rate = supervisors_[l].dmu_delivery_rate();
-    s.acc_delivery_rate = supervisors_[l].acc_delivery_rate();
-    s.coast_s = supervisors_[l].coast_s();
-    s.recoveries = supervisors_[l].recoveries();
-    s.reconvergence_s = supervisors_[l].last_recovery_s();
-    s.acc_implausible = 0;
+    tails_[l].fill(s);
     return s;
 }
 

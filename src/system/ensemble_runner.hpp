@@ -4,23 +4,20 @@
 #include <vector>
 
 #include "comm/codec.hpp"
-#include "core/adaptive_tuner.hpp"
 #include "core/ensemble_ekf.hpp"
-#include "core/residual_monitor.hpp"
 #include "math/matrix.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario_trace.hpp"
 #include "system/boresight_system.hpp"
-#include "system/health_supervisor.hpp"
-#include "util/stats.hpp"
+#include "system/fusion_tail.hpp"
 
 namespace ob::system {
 
 /// Batched nominal-transport counterpart of `BoresightSystem` for the
 /// native EKF: N lanes of one shared trace step through the Figure 2
-/// pipeline together, one epoch at a time. Per-lane detector state
-/// (residual monitor, health supervisor, adaptive tuner, running stats)
-/// lives in lane-indexed arrays; the filters are an `core::EnsembleEkf`.
+/// pipeline together, one epoch at a time. Each lane drives its own
+/// `FusionTail` (the scalar system's detector, tuner and supervisor
+/// stage); the filters are an `core::EnsembleEkf`.
 ///
 /// Instead of instantiating N CAN bus / UART / SLIP object stacks, the
 /// nominal transport is advanced analytically with bitwise the FP
@@ -57,9 +54,6 @@ public:
     /// Per-lane §11.1 calibration result (run_fleet_seed calibrates each
     /// seed independently; the config's bias is only the shared default).
     void set_calibrated_bias(std::size_t lane, const math::Vec2& bias);
-    [[nodiscard]] math::Vec2 calibrated_bias(std::size_t lane) const {
-        return lanes_[lane].calibrated_bias;
-    }
 
     /// Feed one epoch for every lane: `dmu`/`adxl` are lane-indexed arrays
     /// (the EnsembleRealizer's SoA outputs). Lanes already failed are
@@ -72,7 +66,6 @@ public:
     [[nodiscard]] bool lane_ok(std::size_t lane) const {
         return lanes_[lane].ok;
     }
-    [[nodiscard]] bool all_ok() const;
 
     /// Scoring accessors (cheaper than a full status() per check epoch).
     [[nodiscard]] math::EulerAngles estimate(std::size_t lane) const {
@@ -90,8 +83,6 @@ private:
         double dmu_busy = 0.0;         ///< DMU UART line_busy_until_
         double acc_busy = 0.0;         ///< ACC UART line_busy_until_
         math::Vec2 calibrated_bias{};
-        double monitor_flag_t = -1.0;
-        bool monitor_latched = false;
         std::size_t updates = 0;
         bool ok = true;
     };
@@ -101,10 +92,7 @@ private:
     double byte_time_;  ///< UartLink::byte_time() = 10 / baud
     core::EnsembleEkf ekf_;
     std::vector<Lane> lanes_;
-    std::vector<core::ResidualMonitor> monitors_;
-    std::vector<HealthSupervisor> supervisors_;
-    std::vector<core::AdaptiveNoiseTuner> tuners_;
-    std::vector<util::RunningStats> stats_;
+    std::vector<FusionTail> tails_;
 };
 
 }  // namespace ob::system

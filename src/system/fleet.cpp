@@ -82,20 +82,10 @@ constexpr std::uint64_t kSensorStreamSalt = 0xA5A55A5AF00DBEEFull;
     return env;
 }
 
-/// Execute one Monte Carlo realization of a job over the shared traces.
-/// This is the Realize layer: per-seed instrument realization + transport
-/// + fusion + envelope scoring, consuming (never mutating) the trace.
-[[nodiscard]] FleetSeedResult run_fleet_seed(
-    const FleetJob& job, const sim::ScenarioSpec& spec,
-    const std::shared_ptr<const sim::ScenarioTrace>& trace,
-    const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
-    std::uint64_t seed_index) {
-    const double duration = job_duration(job, spec);
-    const std::uint64_t sensor_seed =
-        fleet_sub_seed(job_sensor_stream(job), seed_index);
-    sim::Scenario sc(trace, job_truth(job, spec), sensor_seed);
-    const sim::ScenarioEnvelope envelope = job_envelope(job, spec);
-
+/// The fusion config every realization of a job starts from: the job's
+/// (or the spec's) measurement noise and tuner on the spec's process noise.
+[[nodiscard]] BoresightSystem::Config system_config(
+    const FleetJob& job, const sim::ScenarioSpec& spec) {
     const double meas_noise =
         job.meas_noise_mps2 ? *job.meas_noise_mps2 : spec.meas_noise_mps2;
     BoresightSystem::Config cfg;
@@ -107,6 +97,139 @@ constexpr std::uint64_t kSensorStreamSalt = 0xA5A55A5AF00DBEEFull;
         spec.angle_process_noise * spec.angle_process_noise;
     cfg.use_adaptive_tuner = job.use_adaptive_tuner;
     if (job.tuner) cfg.tuner = *job.tuner;
+    return cfg;
+}
+
+/// §11.1 calibration phase of one realization: its instruments (same
+/// sensor-seed draws and error magnitudes) against the shared
+/// level-platform trace. A separate Scenario instance keeps the main run's
+/// RNG draws untouched, so calibration-free jobs are bitwise unaffected by
+/// this not running. The measured bias lands in `out`; the caller
+/// subtracts it from every ACC reading of the main run.
+void calibrate(const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
+               std::uint64_t sensor_seed, FleetSeedResult& out) {
+    sim::Scenario cal(cal_trace, EulerAngles{}, sensor_seed);
+    core::CalibrationAccumulator accum;
+    sim::Scenario::Step step;
+    while (cal.next_into(step)) {
+        const auto d = decode_step(cal, step);
+        accum.add(d.f_body, d.acc_xy);
+    }
+    out.calibrated_bias = accum.bias();
+    out.calibration_noise = accum.noise_sigma();
+    out.calibration_samples = accum.samples();
+}
+
+/// The one envelope scorer both Realize paths drive. It owns the job's
+/// envelope, the bump time and the checked windows, the per-axis worst
+/// errors and first-divergence instant of each realization, the bump
+/// trigger, and the final verdict. The lanes of a batch share one trace,
+/// hence one bump and one scorer; each lane's figures go into its own
+/// FleetSeedResult.
+class RunScorer {
+public:
+    RunScorer(const FleetJob& job, const sim::ScenarioSpec& spec)
+        : job_(job),
+          envelope_(job_envelope(job, spec)),
+          // The bump time tracks a shortened duration override
+          // proportionally so truncated fleet runs still exercise the
+          // disturbance path.
+          bump_at_(spec.bump.enabled()
+                       ? spec.bump.at_s *
+                             (job_duration(job, spec) / spec.duration_s)
+                       : -1.0) {}
+
+    [[nodiscard]] const sim::ScenarioEnvelope& envelope() const {
+        return envelope_;
+    }
+
+    /// Envelope windows: post-settle, and for bump scenarios both the
+    /// pre-bump stretch and the re-settled post-bump stretch.
+    [[nodiscard]] bool checked(double t) const {
+        if (bump_at_ >= 0.0 && t >= bump_at_) {
+            return t >= bump_at_ + envelope_.settle_s;
+        }
+        return t >= envelope_.settle_s && (bump_at_ < 0.0 || t < bump_at_);
+    }
+
+    /// Score one checked epoch's estimate against the truth.
+    void score(FleetSeedResult& out, double t, const EulerAngles& est,
+               const EulerAngles& truth) const {
+        FleetTraceSummary& tr = out.trace;
+        ++tr.checked_points;
+        const double roll_err = std::abs(rad2deg(est.roll - truth.roll));
+        const double pitch_err = std::abs(rad2deg(est.pitch - truth.pitch));
+        const double yaw_err = std::abs(rad2deg(est.yaw - truth.yaw));
+        tr.worst_roll_err_deg = std::max(tr.worst_roll_err_deg, roll_err);
+        tr.worst_pitch_err_deg = std::max(tr.worst_pitch_err_deg, pitch_err);
+        tr.worst_yaw_err_deg = std::max(tr.worst_yaw_err_deg, yaw_err);
+        // Divergence instant: the first checked sample whose error leaves
+        // the envelope — the truth the ResidualMonitor's flag time is
+        // scored against in fault campaigns.
+        if (tr.first_divergence_s < 0.0 &&
+            (roll_err > envelope_.roll_deg ||
+             pitch_err > envelope_.pitch_deg ||
+             (envelope_.check_yaw && yaw_err > envelope_.yaw_deg))) {
+            tr.first_divergence_s = t;
+        }
+    }
+
+    /// True once, after the epoch at which the spec's bump fires. Asked
+    /// after the epoch is consumed and scored: no sample generated under
+    /// the old alignment is ever judged against the new truth.
+    [[nodiscard]] bool bump_due(double t) {
+        if (bump_at_ < 0.0 || bumped_ || t < bump_at_) return false;
+        bumped_ = true;
+        return true;
+    }
+
+    /// Label, AlignmentResult and envelope verdict of a finished run.
+    void finalize(FleetSeedResult& out, std::uint64_t seed_index,
+                  std::size_t epochs, const BoresightSystem::Status& st,
+                  const EulerAngles& truth, double duration_s) const {
+        out.trace.epochs = epochs;
+        out.final_status = st;
+        out.result.label =
+            job_.scenario + "/" + processor_name(job_.processor);
+        if (seed_index > 0) {
+            out.result.label += "#seed" + std::to_string(seed_index);
+        }
+        out.result.truth = truth;
+        out.result.estimate = st.estimate;
+        out.result.sigma3_rad = st.sigma3;
+        out.result.residual_rms = st.residual_rms;
+        out.result.meas_noise = st.measurement_noise;
+        out.result.duration_s = duration_s;
+        const FleetTraceSummary& tr = out.trace;
+        out.within_envelope =
+            tr.checked_points > 0 &&
+            tr.worst_roll_err_deg <= envelope_.roll_deg &&
+            tr.worst_pitch_err_deg <= envelope_.pitch_deg &&
+            (!envelope_.check_yaw ||
+             tr.worst_yaw_err_deg <= envelope_.yaw_deg) &&
+            st.residual_rms <= envelope_.residual_rms_max;
+    }
+
+private:
+    const FleetJob& job_;
+    sim::ScenarioEnvelope envelope_;
+    double bump_at_;  ///< -1 when the scenario has no bump
+    bool bumped_ = false;
+};
+
+/// Execute one Monte Carlo realization of a job over the shared traces.
+/// This is the Realize layer: per-seed instrument realization + transport
+/// + fusion + envelope scoring, consuming (never mutating) the trace.
+[[nodiscard]] FleetSeedResult run_fleet_seed(
+    const FleetJob& job, const sim::ScenarioSpec& spec,
+    const std::shared_ptr<const sim::ScenarioTrace>& trace,
+    const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
+    std::uint64_t seed_index) {
+    const std::uint64_t sensor_seed =
+        fleet_sub_seed(job_sensor_stream(job), seed_index);
+    sim::Scenario sc(trace, job_truth(job, spec), sensor_seed);
+    RunScorer scorer(job, spec);
+    BoresightSystem::Config cfg = system_config(job, spec);
 
     FleetSeedResult out;
     out.sensor_seed = sensor_seed;
@@ -145,7 +268,7 @@ constexpr std::uint64_t kSensorStreamSalt = 0xA5A55A5AF00DBEEFull;
                 const double run_s = sc.duration();
                 sim::SensorFault fault;
                 fault.duration_s = intensity * run_s;
-                const double lo = std::min(envelope.settle_s, run_s);
+                const double lo = std::min(scorer.envelope().settle_s, run_s);
                 const double hi = std::max(lo, run_s - fault.duration_s);
                 fault.start_s =
                     lo + util::CounterRng(fault_seed, 0).u01() * (hi - lo);
@@ -161,103 +284,26 @@ constexpr std::uint64_t kSensorStreamSalt = 0xA5A55A5AF00DBEEFull;
         }
     }
 
-    // §11.1 calibration phase: this realization's instruments (same
-    // sensor-seed draws and error magnitudes) against the shared
-    // level-platform trace; the accumulated ACC-vs-IMU bias is subtracted
-    // from every ACC reading of the main run. A separate Scenario instance
-    // keeps the main run's RNG draws untouched, so calibration-free jobs
-    // are bitwise unaffected by this block not running.
     if (job.calibration) {
-        sim::Scenario cal(cal_trace, EulerAngles{}, sensor_seed);
-        core::CalibrationAccumulator accum;
-        sim::Scenario::Step step;
-        while (cal.next_into(step)) {
-            const auto d = decode_step(cal, step);
-            accum.add(d.f_body, d.acc_xy);
-        }
-        cfg.calibrated_bias = accum.bias();
-        out.calibrated_bias = accum.bias();
-        out.calibration_noise = accum.noise_sigma();
-        out.calibration_samples = accum.samples();
+        calibrate(cal_trace, sensor_seed, out);
+        cfg.calibrated_bias = out.calibrated_bias;
     }
 
     BoresightSystem sys(cfg);
-
-    // The bump time tracks a shortened duration override proportionally so
-    // truncated fleet runs still exercise the disturbance path.
-    const double bump_at = spec.bump.enabled()
-                               ? spec.bump.at_s * (duration / spec.duration_s)
-                               : -1.0;
-
-    // Envelope windows: post-settle, and for bump scenarios both the
-    // pre-bump stretch and the re-settled post-bump stretch.
-    const auto checked = [&](double t) {
-        if (bump_at >= 0.0 && t >= bump_at) {
-            return t >= bump_at + envelope.settle_s;
-        }
-        return t >= envelope.settle_s && (bump_at < 0.0 || t < bump_at);
-    };
-
-    bool bumped = false;
+    std::size_t epochs = 0;
     double t = 0.0;
     comm::DmuSample dmu;
     comm::AdxlTiming adxl;
     while (sc.next_wire(t, dmu, adxl)) {
         sys.feed(sc.trace(), t, dmu, adxl);
-        ++out.trace.epochs;
-        if (checked(t)) {
-            const auto st = sys.status();
-            const auto truth = sc.true_misalignment();
-            ++out.trace.checked_points;
-            const double roll_err =
-                std::abs(rad2deg(st.estimate.roll - truth.roll));
-            const double pitch_err =
-                std::abs(rad2deg(st.estimate.pitch - truth.pitch));
-            const double yaw_err =
-                std::abs(rad2deg(st.estimate.yaw - truth.yaw));
-            out.trace.worst_roll_err_deg =
-                std::max(out.trace.worst_roll_err_deg, roll_err);
-            out.trace.worst_pitch_err_deg =
-                std::max(out.trace.worst_pitch_err_deg, pitch_err);
-            out.trace.worst_yaw_err_deg =
-                std::max(out.trace.worst_yaw_err_deg, yaw_err);
-            // Divergence instant: the first checked sample whose error
-            // leaves the envelope — the truth the ResidualMonitor's flag
-            // time is scored against in fault campaigns.
-            if (out.trace.first_divergence_s < 0.0 &&
-                (roll_err > envelope.roll_deg ||
-                 pitch_err > envelope.pitch_deg ||
-                 (envelope.check_yaw && yaw_err > envelope.yaw_deg))) {
-                out.trace.first_divergence_s = t;
-            }
+        ++epochs;
+        if (scorer.checked(t)) {
+            scorer.score(out, t, sys.status().estimate, sc.true_misalignment());
         }
-        // Bump after the epoch is consumed and scored: no sample generated
-        // under the old alignment is ever judged against the new truth.
-        if (bump_at >= 0.0 && !bumped && t >= bump_at) {
-            sc.bump(spec.bump.delta);
-            bumped = true;
-        }
+        if (scorer.bump_due(t)) sc.bump(spec.bump.delta);
     }
-
-    out.final_status = sys.status();
-    out.result.label = job.scenario + "/" + processor_name(job.processor);
-    if (seed_index > 0) {
-        out.result.label += "#seed" + std::to_string(seed_index);
-    }
-    out.result.truth = sc.true_misalignment();
-    out.result.estimate = out.final_status.estimate;
-    out.result.sigma3_rad = out.final_status.sigma3;
-    out.result.residual_rms = out.final_status.residual_rms;
-    out.result.meas_noise = out.final_status.measurement_noise;
-    out.result.duration_s = sc.duration();
-
-    out.within_envelope =
-        out.trace.checked_points > 0 &&
-        out.trace.worst_roll_err_deg <= envelope.roll_deg &&
-        out.trace.worst_pitch_err_deg <= envelope.pitch_deg &&
-        (!envelope.check_yaw ||
-         out.trace.worst_yaw_err_deg <= envelope.yaw_deg) &&
-        out.result.residual_rms <= envelope.residual_rms_max;
+    scorer.finalize(out, seed_index, epochs, sys.status(),
+                    sc.true_misalignment(), sc.duration());
     return out;
 }
 
@@ -288,131 +334,54 @@ void run_fleet_seed_batch(
     const std::shared_ptr<const sim::ScenarioTrace>& trace,
     const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
     std::uint64_t first_seed, std::size_t lane_count, FleetSeedResult* out) {
-    const double duration = job_duration(job, spec);
-    const sim::ScenarioEnvelope envelope = job_envelope(job, spec);
-
     std::array<std::uint64_t, kMaxBatchLanes> seeds{};
     for (std::size_t l = 0; l < lane_count; ++l) {
         seeds[l] = fleet_sub_seed(job_sensor_stream(job), first_seed + l);
     }
-
-    const double meas_noise =
-        job.meas_noise_mps2 ? *job.meas_noise_mps2 : spec.meas_noise_mps2;
-    BoresightSystem::Config cfg;
-    cfg.processor = job.processor;
-    cfg.filter.meas_noise_mps2 = meas_noise;
-    cfg.filter.angle_process_noise = spec.angle_process_noise;
-    cfg.sabre.r_sigma = meas_noise;
-    cfg.sabre.q_variance =
-        spec.angle_process_noise * spec.angle_process_noise;
-    cfg.use_adaptive_tuner = job.use_adaptive_tuner;
-    if (job.tuner) cfg.tuner = *job.tuner;
-
     sim::EnsembleRealizer ens(trace, job_truth(job, spec),
                               {seeds.data(), lane_count});
-    EnsembleNominalSystem sys(cfg, lane_count);
+    EnsembleNominalSystem sys(system_config(job, spec), lane_count);
+    RunScorer scorer(job, spec);
 
     for (std::size_t l = 0; l < lane_count; ++l) {
         out[l] = FleetSeedResult{};
         out[l].sensor_seed = seeds[l];
-    }
-
-    // §11.1 calibration stays scalar per lane: the dwell is a fraction of
-    // the run and its transport-free decode path has no batched variant.
-    if (job.calibration) {
-        for (std::size_t l = 0; l < lane_count; ++l) {
-            sim::Scenario cal(cal_trace, EulerAngles{}, seeds[l]);
-            core::CalibrationAccumulator accum;
-            sim::Scenario::Step step;
-            while (cal.next_into(step)) {
-                const auto d = decode_step(cal, step);
-                accum.add(d.f_body, d.acc_xy);
-            }
-            sys.set_calibrated_bias(l, accum.bias());
-            out[l].calibrated_bias = accum.bias();
-            out[l].calibration_noise = accum.noise_sigma();
-            out[l].calibration_samples = accum.samples();
+        // §11.1 calibration stays scalar per lane: the dwell is a fraction
+        // of the run and its transport-free decode path has no batched
+        // variant.
+        if (job.calibration) {
+            calibrate(cal_trace, seeds[l], out[l]);
+            sys.set_calibrated_bias(l, out[l].calibrated_bias);
         }
     }
 
-    const double bump_at = spec.bump.enabled()
-                               ? spec.bump.at_s * (duration / spec.duration_s)
-                               : -1.0;
-    const auto checked = [&](double t) {
-        if (bump_at >= 0.0 && t >= bump_at) {
-            return t >= bump_at + envelope.settle_s;
-        }
-        return t >= envelope.settle_s && (bump_at < 0.0 || t < bump_at);
-    };
-
-    bool bumped = false;
-    double t = 0.0;
     std::size_t epochs = 0;
+    double t = 0.0;
     while (ens.step(t)) {
         sys.feed(ens.trace(), t, ens.dmu(), ens.adxl());
         ++epochs;
-        if (checked(t)) {
+        if (scorer.checked(t)) {
             const EulerAngles truth = ens.true_misalignment();
             for (std::size_t l = 0; l < lane_count; ++l) {
-                if (!sys.lane_ok(l)) continue;
-                const EulerAngles est = sys.estimate(l);
-                ++out[l].trace.checked_points;
-                const double roll_err =
-                    std::abs(rad2deg(est.roll - truth.roll));
-                const double pitch_err =
-                    std::abs(rad2deg(est.pitch - truth.pitch));
-                const double yaw_err = std::abs(rad2deg(est.yaw - truth.yaw));
-                out[l].trace.worst_roll_err_deg =
-                    std::max(out[l].trace.worst_roll_err_deg, roll_err);
-                out[l].trace.worst_pitch_err_deg =
-                    std::max(out[l].trace.worst_pitch_err_deg, pitch_err);
-                out[l].trace.worst_yaw_err_deg =
-                    std::max(out[l].trace.worst_yaw_err_deg, yaw_err);
-                if (out[l].trace.first_divergence_s < 0.0 &&
-                    (roll_err > envelope.roll_deg ||
-                     pitch_err > envelope.pitch_deg ||
-                     (envelope.check_yaw && yaw_err > envelope.yaw_deg))) {
-                    out[l].trace.first_divergence_s = t;
+                if (sys.lane_ok(l)) {
+                    scorer.score(out[l], t, sys.estimate(l), truth);
                 }
             }
         }
-        if (bump_at >= 0.0 && !bumped && t >= bump_at) {
-            ens.bump(spec.bump.delta);
-            bumped = true;
-        }
+        if (scorer.bump_due(t)) ens.bump(spec.bump.delta);
     }
 
-    const EulerAngles truth = ens.true_misalignment();
     for (std::size_t l = 0; l < lane_count; ++l) {
-        if (!sys.lane_ok(l)) {
+        if (sys.lane_ok(l)) {
+            scorer.finalize(out[l], first_seed + l, epochs, sys.status(l),
+                            ens.true_misalignment(), ens.duration());
+        } else {
             // The lane left the nominal transport envelope mid-run; its
             // batched state is stale. Realize it scalar from scratch — the
             // always-correct reference — overwriting everything above.
             out[l] = run_fleet_seed(job, spec, trace, cal_trace,
                                     first_seed + l);
-            continue;
         }
-        out[l].trace.epochs = epochs;
-        out[l].final_status = sys.status(l);
-        out[l].result.label =
-            job.scenario + "/" + processor_name(job.processor);
-        if (first_seed + l > 0) {
-            out[l].result.label +=
-                "#seed" + std::to_string(first_seed + l);
-        }
-        out[l].result.truth = truth;
-        out[l].result.estimate = out[l].final_status.estimate;
-        out[l].result.sigma3_rad = out[l].final_status.sigma3;
-        out[l].result.residual_rms = out[l].final_status.residual_rms;
-        out[l].result.meas_noise = out[l].final_status.measurement_noise;
-        out[l].result.duration_s = ens.duration();
-        out[l].within_envelope =
-            out[l].trace.checked_points > 0 &&
-            out[l].trace.worst_roll_err_deg <= envelope.roll_deg &&
-            out[l].trace.worst_pitch_err_deg <= envelope.pitch_deg &&
-            (!envelope.check_yaw ||
-             out[l].trace.worst_yaw_err_deg <= envelope.yaw_deg) &&
-            out[l].result.residual_rms <= envelope.residual_rms_max;
     }
 }
 
@@ -437,12 +406,17 @@ template <class Get>
     return out;
 }
 
-/// Fold a job's seed ensemble into its FleetResult: primary fields mirror
-/// realization 0 bit for bit; the ensemble summary is accumulated in seed
-/// order.
-[[nodiscard]] FleetResult reduce_job(const FleetJob& job,
-                                     const sim::ScenarioSpec& spec,
-                                     std::vector<FleetSeedResult> seeds) {
+}  // namespace
+
+FleetResult reduce_fleet_job(const FleetJob& job,
+                             std::vector<FleetSeedResult> seeds) {
+    if (seeds.size() != job.seeds_per_job) {
+        throw std::invalid_argument(
+            "reduce_fleet_job: " + std::to_string(seeds.size()) +
+            " seed result(s) for a job with seeds_per_job " +
+            std::to_string(job.seeds_per_job));
+    }
+    const auto& spec = sim::ScenarioLibrary::instance().at(job.scenario);
     FleetResult out;
     out.scenario = job.scenario;
     out.processor = job.processor;
@@ -472,20 +446,6 @@ template <class Get>
 
     out.seeds = std::move(seeds);
     return out;
-}
-
-}  // namespace
-
-FleetResult reduce_fleet_job(const FleetJob& job,
-                             std::vector<FleetSeedResult> seeds) {
-    if (seeds.size() != job.seeds_per_job) {
-        throw std::invalid_argument(
-            "reduce_fleet_job: " + std::to_string(seeds.size()) +
-            " seed result(s) for a job with seeds_per_job " +
-            std::to_string(job.seeds_per_job));
-    }
-    const auto& spec = sim::ScenarioLibrary::instance().at(job.scenario);
-    return reduce_job(job, spec, std::move(seeds));
 }
 
 void encode_fleet_job(util::ByteWriter& w, const FleetJob& job) {
@@ -728,7 +688,7 @@ FleetResult run_fleet_job(const FleetJob& job) {
     for (std::uint64_t k = 0; k < job.seeds_per_job; ++k) {
         seeds.push_back(run_fleet_seed(job, spec, trace, cal_trace, k));
     }
-    return reduce_job(job, spec, std::move(seeds));
+    return reduce_fleet_job(job, std::move(seeds));
 }
 
 FleetRunner::FleetRunner() : FleetRunner(Config{}) {}
@@ -925,32 +885,20 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
     }
 
     std::vector<std::exception_ptr> errors(items.size());
-    // Release each trace as its last realization drains so a long sweep's
-    // memory high-water mark follows the active scenarios, not the batch.
-    const auto release_item = [&](std::size_t job_index) {
-        if (!share_traces_) return;
-        const auto release = [&](std::size_t s) {
-            if (s == kNoSlot) return;
-            if (slots[s].remaining.fetch_sub(1) == 1) {
-                slots[s].trace.reset();
-            }
-        };
-        release(main_slot[job_index]);
-        release(cal_slot[job_index]);
-    };
-    const auto run_item = [&](std::size_t i) {
-        const Item& item = items[i];
-        const FleetJob& job = jobs[item.job];
-        const sim::ScenarioSpec& spec = *specs[item.job];
+    const auto run_unit = [&](std::size_t u) {
+        const Unit& unit = units[u];
+        const Item& head = items[unit.first];
+        const FleetJob& job = jobs[head.job];
+        const sim::ScenarioSpec& spec = *specs[head.job];
         try {
             std::shared_ptr<const sim::ScenarioTrace> trace;
             std::shared_ptr<const sim::ScenarioTrace> cal_trace;
             if (share_traces_) {
-                TraceSlot& ms = slots[main_slot[item.job]];
+                TraceSlot& ms = slots[main_slot[head.job]];
                 if (ms.error) std::rethrow_exception(ms.error);
                 trace = ms.trace;
-                if (cal_slot[item.job] != kNoSlot) {
-                    TraceSlot& cs = slots[cal_slot[item.job]];
+                if (cal_slot[head.job] != kNoSlot) {
+                    TraceSlot& cs = slots[cal_slot[head.job]];
                     if (cs.error) std::rethrow_exception(cs.error);
                     cal_trace = cs.trace;
                 }
@@ -964,40 +912,26 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
                         job_sensor_stream(job));
                 }
             }
-            outcomes[i] =
-                run_fleet_seed(job, spec, trace, cal_trace, item.seed);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-        release_item(item.job);
-    };
-    const auto run_unit = [&](std::size_t u) {
-        const Unit& unit = units[u];
-        if (unit.count == 1) {
-            run_item(unit.first);
-            return;
-        }
-        // Multi-lane units exist only under share_traces_ (see `batching`),
-        // so the slot tables are always populated here.
-        const Item& head = items[unit.first];
-        const FleetJob& job = jobs[head.job];
-        const sim::ScenarioSpec& spec = *specs[head.job];
-        try {
-            TraceSlot& ms = slots[main_slot[head.job]];
-            if (ms.error) std::rethrow_exception(ms.error);
-            std::shared_ptr<const sim::ScenarioTrace> trace = ms.trace;
-            std::shared_ptr<const sim::ScenarioTrace> cal_trace;
-            if (cal_slot[head.job] != kNoSlot) {
-                TraceSlot& cs = slots[cal_slot[head.job]];
-                if (cs.error) std::rethrow_exception(cs.error);
-                cal_trace = cs.trace;
+            if (unit.count == 1) {
+                outcomes[unit.first] =
+                    run_fleet_seed(job, spec, trace, cal_trace, head.seed);
+            } else {
+                run_fleet_seed_batch(job, spec, trace, cal_trace, head.seed,
+                                     unit.count, &outcomes[unit.first]);
             }
-            run_fleet_seed_batch(job, spec, trace, cal_trace, head.seed,
-                                 unit.count, &outcomes[unit.first]);
         } catch (...) {
             errors[unit.first] = std::current_exception();
         }
-        for (std::size_t k = 0; k < unit.count; ++k) release_item(head.job);
+        // Release each trace as its last realization drains so a long
+        // sweep's memory high-water mark follows the active scenarios, not
+        // the batch.
+        if (!share_traces_) return;
+        for (const std::size_t s : {main_slot[head.job], cal_slot[head.job]}) {
+            if (s != kNoSlot &&
+                slots[s].remaining.fetch_sub(unit.count) == unit.count) {
+                slots[s].trace.reset();
+            }
+        }
     };
 
     const std::size_t workers =

@@ -94,7 +94,6 @@ HealthState HealthSupervisor::target_state() const {
 }
 
 HealthSupervisor::Verdict HealthSupervisor::observe(const Event& e) {
-    ++epochs_;
     dmu_.push(e.dmu_delivered, e.dt_s);
     acc_.push(e.acc_delivered, e.dt_s);
 

@@ -110,10 +110,7 @@ public:
 
     [[nodiscard]] double dmu_delivery_rate() const { return dmu_.rate(); }
     [[nodiscard]] double acc_delivery_rate() const { return acc_.rate(); }
-    [[nodiscard]] double dmu_staleness_s() const { return dmu_.staleness_s; }
-    [[nodiscard]] double acc_staleness_s() const { return acc_.staleness_s; }
 
-    [[nodiscard]] std::size_t epochs() const { return epochs_; }
     /// Lifetime seconds spent coasting (covariance-growth time).
     [[nodiscard]] double coast_s() const { return coast_s_; }
     /// Completed recoveries (state returned to kNominal after an episode).
@@ -155,7 +152,6 @@ private:
     std::size_t degraded_streak_ = 0;
     std::size_t recovery_streak_ = 0;
     bool in_coast_episode_ = false;  ///< cleared by the post-coast resume
-    std::size_t epochs_ = 0;
     double coast_s_ = 0.0;
     std::size_t recoveries_ = 0;
     double resume_t_ = -1.0;  ///< receive time of the post-coast resume

@@ -6,11 +6,15 @@
 // small batches, the bench shape, and a unit split past kMaxBatchLanes.
 // The comparison is over the canonical shard byte encoding, so every
 // result field (trace summary, full final status, calibration outputs)
-// participates; nothing is "close enough".
+// participates; nothing is "close enough". The per-lane fallback is pinned
+// at the system layer: a lane that leaves the nominal envelope is marked
+// failed, and no other lane's status moves by a bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,8 @@
 #include "sim/scenario.hpp"
 #include "sim/scenario_library.hpp"
 #include "sim/scenario_trace.hpp"
+#include "system/boresight_system.hpp"
+#include "system/ensemble_runner.hpp"
 #include "system/fleet.hpp"
 #include "system/fleet_shard.hpp"
 #include "util/wire.hpp"
@@ -135,7 +141,131 @@ TEST(EnsembleEkf, LanesMatchIndependentFiltersBitwise) {
     }
 }
 
-// --- Layer 3: the full fleet, batched vs scalar, serial and threaded. -----
+// --- Layer 3: the lane-array system and its per-lane fallback. ------------
+
+void expect_bitwise(double a, double b, const char* field, std::size_t lane) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << field << " of lane " << lane << ": " << a << " vs " << b;
+}
+
+void expect_status_eq(const system::BoresightSystem::Status& a,
+                      const system::BoresightSystem::Status& b,
+                      std::size_t lane) {
+    expect_bitwise(a.estimate.roll, b.estimate.roll, "roll", lane);
+    expect_bitwise(a.estimate.pitch, b.estimate.pitch, "pitch", lane);
+    expect_bitwise(a.estimate.yaw, b.estimate.yaw, "yaw", lane);
+    for (std::size_t i = 0; i < 3; ++i) {
+        expect_bitwise(a.sigma3[i], b.sigma3[i], "sigma3", lane);
+    }
+    EXPECT_EQ(a.updates, b.updates) << "lane " << lane;
+    EXPECT_EQ(a.dmu_frames_lost, b.dmu_frames_lost) << "lane " << lane;
+    EXPECT_EQ(a.acc_packets_lost, b.acc_packets_lost) << "lane " << lane;
+    expect_bitwise(a.worst_transport_latency, b.worst_transport_latency,
+                   "worst_transport_latency", lane);
+    expect_bitwise(a.measurement_noise, b.measurement_noise,
+                   "measurement_noise", lane);
+    expect_bitwise(a.residual_rms, b.residual_rms, "residual_rms", lane);
+    EXPECT_EQ(a.tuner_adjustments, b.tuner_adjustments) << "lane " << lane;
+    EXPECT_EQ(a.residual_flagged, b.residual_flagged) << "lane " << lane;
+    expect_bitwise(a.residual_flag_s, b.residual_flag_s, "residual_flag_s",
+                   lane);
+    expect_bitwise(a.residual_windowed_rate, b.residual_windowed_rate,
+                   "residual_windowed_rate", lane);
+    EXPECT_EQ(a.residual_exceedances, b.residual_exceedances)
+        << "lane " << lane;
+    EXPECT_EQ(a.health, b.health) << "lane " << lane;
+    EXPECT_EQ(a.worst_health, b.worst_health) << "lane " << lane;
+    EXPECT_EQ(a.supervisor_alarmed, b.supervisor_alarmed) << "lane " << lane;
+    expect_bitwise(a.supervisor_alarm_s, b.supervisor_alarm_s,
+                   "supervisor_alarm_s", lane);
+    expect_bitwise(a.dmu_delivery_rate, b.dmu_delivery_rate,
+                   "dmu_delivery_rate", lane);
+    expect_bitwise(a.acc_delivery_rate, b.acc_delivery_rate,
+                   "acc_delivery_rate", lane);
+    expect_bitwise(a.coast_s, b.coast_s, "coast_s", lane);
+    EXPECT_EQ(a.recoveries, b.recoveries) << "lane " << lane;
+    expect_bitwise(a.reconvergence_s, b.reconvergence_s, "reconvergence_s",
+                   lane);
+    EXPECT_EQ(a.acc_implausible, b.acc_implausible) << "lane " << lane;
+}
+
+TEST(EnsembleNominalSystem, ImplausibleLaneFallsOutOthersStayBitwiseScalar) {
+    const auto& spec = sim::ScenarioLibrary::instance().at("city-drive");
+    const std::uint64_t stream = sim::scenario_seed(spec.name, 7);
+    const auto trace = sim::ScenarioTrace::build(
+        spec.build(15.0, spec.misalignment, stream), stream);
+    constexpr std::size_t kLanes = 4;
+    constexpr std::size_t kBadLane = 2;
+    const std::size_t bad_epoch = trace->epochs() / 3;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        seeds.push_back(system::fleet_sub_seed(stream, l));
+    }
+
+    // An under-tuned R, a touchy residual monitor and the adaptive tuner,
+    // so the detector and tuner fields the comparison covers all move.
+    system::BoresightSystem::Config cfg;
+    cfg.filter.meas_noise_mps2 = 0.1 * spec.meas_noise_mps2;
+    cfg.use_adaptive_tuner = true;
+    cfg.monitor_alarm_rate = 0.004;
+    cfg.monitor_min_samples = 20;
+
+    sim::EnsembleRealizer ens(trace, spec.misalignment, seeds);
+    system::EnsembleNominalSystem batch(cfg, kLanes);
+    std::deque<system::BoresightSystem> scalar;  // pinned: not movable
+    for (std::size_t l = 0; l < kLanes; ++l) scalar.emplace_back(cfg);
+
+    std::vector<comm::AdxlTiming> adxl(kLanes);
+    std::size_t bad_updates = 0;
+    double t = 0.0;
+    for (std::size_t epoch = 0; ens.step(t); ++epoch) {
+        for (std::size_t l = 0; l < kLanes; ++l) adxl[l] = ens.adxl()[l];
+        if (epoch == bad_epoch) {
+            adxl[kBadLane].t2 = 0;  // no physical duty cycle has period 0
+            ASSERT_FALSE(comm::adxl_plausible(adxl[kBadLane], trace->adxl()));
+        }
+        batch.feed(*trace, t, ens.dmu(), adxl.data());
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            if (l != kBadLane) {
+                scalar[l].feed(*trace, t, ens.dmu()[l], adxl[l]);
+            }
+        }
+
+        EXPECT_EQ(batch.lane_ok(kBadLane), epoch < bad_epoch)
+            << "epoch " << epoch;
+        if (epoch == bad_epoch) {
+            bad_updates = batch.status(kBadLane).updates;
+        } else if (epoch > bad_epoch) {
+            // A failed lane is skipped entirely: its state stays frozen.
+            EXPECT_EQ(batch.status(kBadLane).updates, bad_updates);
+        }
+        if (epoch % 250 == 0 || epoch == bad_epoch) {
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                if (l == kBadLane) continue;
+                ASSERT_TRUE(batch.lane_ok(l)) << "lane " << l;
+                expect_status_eq(batch.status(l), scalar[l].status(), l);
+            }
+        }
+    }
+
+    std::size_t flagged = 0;
+    std::size_t exceedances = 0;
+    std::size_t adjustments = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        if (l == kBadLane) continue;
+        ASSERT_TRUE(batch.lane_ok(l)) << "lane " << l;
+        const auto st = scalar[l].status();
+        expect_status_eq(batch.status(l), st, l);
+        flagged += st.residual_flagged ? 1 : 0;
+        exceedances += st.residual_exceedances;
+        adjustments += st.tuner_adjustments;
+    }
+    EXPECT_GT(flagged, 0u) << "no lane's residual monitor latched";
+    EXPECT_GT(exceedances, 0u) << "the monitor never saw an exceedance";
+    EXPECT_GT(adjustments, 0u) << "the tuner never retuned";
+}
+
+// --- Layer 4: the full fleet, batched vs scalar, serial and threaded. -----
 
 [[nodiscard]] std::vector<system::FleetJob> differential_jobs() {
     using system::BoresightSystem;

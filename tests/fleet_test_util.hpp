@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,13 @@ struct FleetCase {
     std::string scenario;
     system::BoresightSystem::Processor processor;
 };
+
+/// gtest prints a parameter into the test's listed name. Without this the
+/// default byte dump includes the string's heap pointer, so ctest names
+/// (captured by gtest_discover_tests) changed with every process.
+inline void PrintTo(const FleetCase& c, std::ostream* os) {
+    *os << c.scenario << '/' << system::processor_name(c.processor);
+}
 
 inline std::vector<FleetCase> all_library_cases() {
     std::vector<FleetCase> out;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "softfloat/softfloat.hpp"
-#include "softfloat/softfloat64.hpp"
 #include "util/rng.hpp"
 
 // Edge-regime conformance: dense subnormal/boundary corpora, where
@@ -25,17 +24,6 @@ using ob::util::Rng;
         case '/': return x / y;
     }
     return 0.0f;
-}
-
-[[gnu::noinline]] double host_op64(char op, double a, double b) {
-    volatile double x = a, y = b;
-    switch (op) {
-        case '+': return x + y;
-        case '-': return x - y;
-        case '*': return x * y;
-        case '/': return x / y;
-    }
-    return 0.0;
 }
 
 /// Corpus concentrated on encodings near the subnormal/normal boundary,
@@ -60,25 +48,6 @@ std::uint32_t edge_bits32(Rng& rng) {
     }
 }
 
-std::uint64_t edge_bits64(Rng& rng) {
-    switch (rng.uniform_int(0, 4)) {
-        case 0:  // subnormal
-            return rng.bits64() & 0x800FFFFFFFFFFFFFull;
-        case 1:  // smallest normals
-            return (rng.bits64() & 0x8000000000000000ull) |
-                   0x0010000000000000ull | (rng.bits64() & 0xFFFFFull);
-        case 2:  // near overflow
-            return (rng.bits64() & 0x800FFFFFFFFFFFFFull) |
-                   0x7FD0000000000000ull;
-        case 3:  // powers of two
-            return (rng.bits64() & 0x8000000000000000ull) |
-                   (static_cast<std::uint64_t>(rng.uniform_int(1, 2046))
-                    << 52);
-        default:
-            return rng.bits64();
-    }
-}
-
 TEST(SoftFloatEdge, SubnormalCorpus32) {
     Rng rng(0xED6E);
     sf::Context ctx;
@@ -96,33 +65,6 @@ TEST(SoftFloatEdge, SubnormalCorpus32) {
         }
         const sf::F32 href =
             sf::from_host(host_op32(op, sf::to_host(a), sf::to_host(b)));
-        if (mine.is_nan() || href.is_nan()) {
-            ASSERT_EQ(mine.is_nan(), href.is_nan())
-                << op << std::hex << " a=0x" << a.bits << " b=0x" << b.bits;
-        } else {
-            ASSERT_EQ(mine.bits, href.bits)
-                << op << std::hex << " a=0x" << a.bits << " b=0x" << b.bits;
-        }
-    }
-}
-
-TEST(SoftFloatEdge, SubnormalCorpus64) {
-    Rng rng(0xED64);
-    sf::Context ctx;
-    const char ops[] = {'+', '-', '*', '/'};
-    for (int i = 0; i < 150000; ++i) {
-        const sf::F64 a{edge_bits64(rng)};
-        const sf::F64 b{edge_bits64(rng)};
-        const char op = ops[i % 4];
-        sf::F64 mine;
-        switch (op) {
-            case '+': mine = sf::add(a, b, ctx); break;
-            case '-': mine = sf::sub(a, b, ctx); break;
-            case '*': mine = sf::mul(a, b, ctx); break;
-            default: mine = sf::div(a, b, ctx); break;
-        }
-        const sf::F64 href =
-            sf::from_host(host_op64(op, sf::to_host(a), sf::to_host(b)));
         if (mine.is_nan() || href.is_nan()) {
             ASSERT_EQ(mine.is_nan(), href.is_nan())
                 << op << std::hex << " a=0x" << a.bits << " b=0x" << b.bits;
@@ -193,21 +135,6 @@ TEST(SoftFloatEdge, MinMaxBoundaryArithmetic) {
     ctx.clear();
     EXPECT_EQ(sf::mul(min_sub, sf::from_host(2.0f), ctx).bits, 0x00000002u);
     EXPECT_FALSE(ctx.any(sf::kInexact));
-}
-
-TEST(SoftFloatEdge, WideningNarrowingComposition) {
-    // f32 -> f64 -> f32 must be the identity for every f32 value class.
-    Rng rng(0x1DE4);
-    sf::Context ctx;
-    for (int i = 0; i < 100000; ++i) {
-        const sf::F32 a{rng.bits32()};
-        const sf::F32 back = sf::f64_to_f32(sf::f32_to_f64(a, ctx), ctx);
-        if (a.is_nan()) {
-            EXPECT_TRUE(back.is_nan());
-        } else {
-            EXPECT_EQ(back.bits, a.bits) << std::hex << a.bits;
-        }
-    }
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 #include <string>
 
 #include "softfloat/softfloat.hpp"
-#include "softfloat/softfloat64.hpp"
 
-// Parameterized IEEE-754 edge-case coverage across every rounding mode and
-// both precisions: NaN propagation (quiet and signaling), signed-zero
+// Parameterized IEEE-754 binary32 edge-case coverage across every rounding
+// mode: NaN propagation (quiet and signaling), signed-zero
 // algebra, and subnormal rounding at the underflow boundary. These are the
 // cases the Sabre FPU peripheral leans on hardest and the ones a softfloat
 // "optimisation" breaks first.
@@ -17,7 +16,6 @@ namespace {
 namespace sf = ob::softfloat;
 using sf::Context;
 using sf::F32;
-using sf::F64;
 using sf::Round;
 
 const Round kAllModes[] = {Round::kNearestEven, Round::kTowardZero,
@@ -57,19 +55,6 @@ TEST_P(RoundingModeTest, QuietNanPropagatesThroughArithmeticF32) {
     EXPECT_FALSE(c.any(sf::kInvalid));
 }
 
-TEST_P(RoundingModeTest, QuietNanPropagatesThroughArithmeticF64) {
-    const F64 qnan = F64::quiet_nan();
-    const F64 two = sf::from_host(2.0);
-    Context c = ctx();
-    EXPECT_TRUE(sf::add(qnan, two, c).is_nan());
-    EXPECT_TRUE(sf::sub(two, qnan, c).is_nan());
-    EXPECT_TRUE(sf::mul(qnan, qnan, c).is_nan());
-    EXPECT_TRUE(sf::div(two, qnan, c).is_nan());
-    EXPECT_TRUE(sf::sqrt(qnan, c).is_nan());
-    EXPECT_FALSE(c.any(sf::kInvalid))
-        << "quiet NaN propagation must not raise invalid";
-}
-
 TEST_P(RoundingModeTest, SignalingNanRaisesInvalidF32) {
     // A signaling NaN: max exponent, MSB of fraction clear, nonzero payload.
     const F32 snan{0x7F800001u};
@@ -83,16 +68,6 @@ TEST_P(RoundingModeTest, SignalingNanRaisesInvalidF32) {
     EXPECT_TRUE(c.any(sf::kInvalid));
 }
 
-TEST_P(RoundingModeTest, SignalingNanRaisesInvalidF64) {
-    const F64 snan{0x7FF0000000000001ull};
-    ASSERT_TRUE(snan.is_signaling_nan());
-
-    Context c = ctx();
-    const F64 r = sf::mul(snan, F64::one(), c);
-    EXPECT_TRUE(r.is_nan());
-    EXPECT_TRUE(c.any(sf::kInvalid));
-}
-
 TEST_P(RoundingModeTest, InvalidOperationsProduceQuietNan) {
     Context c = ctx();
     // inf - inf, 0 * inf, 0/0, inf/inf, sqrt(-1): all invalid -> qNaN.
@@ -102,13 +77,6 @@ TEST_P(RoundingModeTest, InvalidOperationsProduceQuietNan) {
     EXPECT_TRUE(sf::div(F32::inf(), F32::inf(), c).is_nan());
     EXPECT_TRUE(sf::sqrt(sf::from_host(-1.0f), c).is_nan());
     EXPECT_TRUE(c.any(sf::kInvalid));
-
-    Context c64 = ctx();
-    EXPECT_TRUE(sf::sub(F64::inf(), F64::inf(), c64).is_nan());
-    EXPECT_TRUE(sf::mul(F64::zero(), F64::inf(), c64).is_nan());
-    EXPECT_TRUE(sf::div(F64::zero(), F64::zero(), c64).is_nan());
-    EXPECT_TRUE(sf::sqrt(sf::from_host(-1.0), c64).is_nan());
-    EXPECT_TRUE(c64.any(sf::kInvalid));
 }
 
 TEST_P(RoundingModeTest, NanComparesUnordered) {
@@ -117,10 +85,6 @@ TEST_P(RoundingModeTest, NanComparesUnordered) {
     EXPECT_FALSE(sf::eq(qnan, qnan, c));
     EXPECT_FALSE(sf::lt(qnan, F32::one(), c));
     EXPECT_FALSE(sf::le(F32::one(), qnan, c));
-
-    const F64 qnan64 = F64::quiet_nan();
-    EXPECT_FALSE(sf::eq(qnan64, qnan64, c));
-    EXPECT_FALSE(sf::lt(qnan64, F64::one(), c));
 }
 
 // --- Signed zero -----------------------------------------------------------
@@ -145,17 +109,6 @@ TEST_P(RoundingModeTest, SignedZeroAdditionF32) {
     EXPECT_EQ(cancel.sign(), GetParam() == Round::kDown);
 }
 
-TEST_P(RoundingModeTest, SignedZeroAdditionF64) {
-    Context c = ctx();
-    const F64 sum = sf::add(F64::zero(), F64::zero(true), c);
-    EXPECT_TRUE(sum.is_zero());
-    EXPECT_EQ(sum.sign(), GetParam() == Round::kDown);
-
-    const F64 nn = sf::add(F64::zero(true), F64::zero(true), c);
-    EXPECT_TRUE(nn.is_zero());
-    EXPECT_TRUE(nn.sign());
-}
-
 TEST_P(RoundingModeTest, SignedZeroMultiplicationAndDivision) {
     Context c = ctx();
     // Sign of a product/quotient is the XOR of the operand signs, zeros
@@ -169,9 +122,6 @@ TEST_P(RoundingModeTest, SignedZeroMultiplicationAndDivision) {
     const F32 underflow_neg = sf::div(sf::neg(two), F32::inf(), c);
     EXPECT_TRUE(underflow_neg.is_zero());
     EXPECT_TRUE(underflow_neg.sign());
-
-    const F64 nz64 = F64::zero(true);
-    EXPECT_EQ(sf::mul(nz64, sf::from_host(2.0), c).bits, nz64.bits);
 }
 
 TEST_P(RoundingModeTest, SqrtOfNegativeZeroIsNegativeZero) {
@@ -180,17 +130,12 @@ TEST_P(RoundingModeTest, SqrtOfNegativeZeroIsNegativeZero) {
     EXPECT_TRUE(r.is_zero());
     EXPECT_TRUE(r.sign());
     EXPECT_FALSE(c.any(sf::kInvalid)) << "sqrt(-0) is exact per IEEE §5.4.1";
-
-    const F64 r64 = sf::sqrt(F64::zero(true), c);
-    EXPECT_TRUE(r64.is_zero());
-    EXPECT_TRUE(r64.sign());
 }
 
 TEST_P(RoundingModeTest, SignedZerosCompareEqual) {
     Context c = ctx();
     EXPECT_TRUE(sf::eq(F32::zero(), F32::zero(true), c));
     EXPECT_FALSE(sf::lt(F32::zero(true), F32::zero(), c));
-    EXPECT_TRUE(sf::eq(F64::zero(), F64::zero(true), c));
 }
 
 // --- Subnormal rounding ----------------------------------------------------
@@ -201,20 +146,6 @@ TEST_P(RoundingModeTest, HalvedMinSubnormalRoundsByModeF32) {
     const F32 min_sub{1u};
     Context c = ctx();
     const F32 r = sf::div(min_sub, sf::from_host(2.0f), c);
-    if (GetParam() == Round::kUp) {
-        EXPECT_EQ(r.bits, min_sub.bits);
-    } else {
-        EXPECT_TRUE(r.is_zero());
-        EXPECT_FALSE(r.sign());
-    }
-    EXPECT_TRUE(c.any(sf::kInexact));
-    EXPECT_TRUE(c.any(sf::kUnderflow));
-}
-
-TEST_P(RoundingModeTest, HalvedMinSubnormalRoundsByModeF64) {
-    const F64 min_sub{1ull};
-    Context c = ctx();
-    const F64 r = sf::div(min_sub, sf::from_host(2.0), c);
     if (GetParam() == Round::kUp) {
         EXPECT_EQ(r.bits, min_sub.bits);
     } else {
@@ -248,11 +179,6 @@ TEST_P(RoundingModeTest, SubnormalArithmeticIsExactWhenRepresentable) {
     const F32 r = sf::add(min_sub, min_sub, c);
     EXPECT_EQ(r.bits, 2u);
     EXPECT_FALSE(c.any(sf::kInexact));
-
-    Context c64 = ctx();
-    const F64 r64 = sf::add(F64{1ull}, F64{1ull}, c64);
-    EXPECT_EQ(r64.bits, 2ull);
-    EXPECT_FALSE(c64.any(sf::kInexact));
 }
 
 TEST_P(RoundingModeTest, SubnormalTimesTwoCrossesIntoNormalExactly) {
