@@ -39,13 +39,14 @@ constexpr double kJobDurationS = 20.0;  // short static-level scenario runs
         .count();
 }
 
-/// Nearest-rank percentile over an unsorted latency sample (sorts a copy's
-/// worth of work in place — callers pass their merged vector once).
-[[nodiscard]] double percentile_ms(std::vector<double>& sorted_ms, double q) {
+/// Nearest-rank percentile `pct` in [1, 100] (p99 = 99) of an ascending
+/// latency sample: the value at 1-based rank ceil(pct * n / 100), in
+/// integers so no rounding can move the rank. 0 for an empty sample.
+[[nodiscard]] double percentile_ms(const std::vector<double>& sorted_ms,
+                                   std::size_t pct) {
     if (sorted_ms.empty()) return 0.0;
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(sorted_ms.size()));
-    return sorted_ms[std::min(rank, sorted_ms.size() - 1)];
+    const std::size_t rank = (pct * sorted_ms.size() + 99) / 100;
+    return sorted_ms[rank - 1];
 }
 
 struct PhaseStats {
@@ -63,9 +64,9 @@ struct PhaseStats {
     s.requests = latencies_ms.size();
     s.requests_per_sec =
         wall_s > 0.0 ? static_cast<double>(s.requests) / wall_s : 0.0;
-    s.p50_ms = percentile_ms(latencies_ms, 0.50);
-    s.p95_ms = percentile_ms(latencies_ms, 0.95);
-    s.p99_ms = percentile_ms(latencies_ms, 0.99);
+    s.p50_ms = percentile_ms(latencies_ms, 50);
+    s.p95_ms = percentile_ms(latencies_ms, 95);
+    s.p99_ms = percentile_ms(latencies_ms, 99);
     return s;
 }
 

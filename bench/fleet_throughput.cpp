@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/bridge.hpp"
@@ -259,11 +261,13 @@ StageCosts measure_stages() {
 
 /// The Monte Carlo seed axis under both trace-cost models: 8 instrument
 /// realizations of 4 drive scenarios under 2 tuner variants (the spec
-/// tuning and the §11 retuned 0.015), once with one shared ScenarioTrace
-/// per scenario — shared across every {tuner × seed} variant, as the
-/// Plan/Trace/Realize stack allows — and once with per-run synthesis
-/// (every realization rebuilds its trace, the pre-refactor cost model).
-/// Results are bitwise identical; only the wall clock moves.
+/// tuning and the §11 retuned 0.015), once as 8 eight-seed jobs — one
+/// shared ScenarioTrace per scenario across every {tuner × seed} variant,
+/// realized in SoA ensemble lanes — and once as 64 one-seed jobs with
+/// distinct base seeds. A distinct base seed is a distinct trace identity,
+/// so there every realization synthesizes its own trace and realizes
+/// scalar: the per-run synthesis cost model. Both go through the same
+/// default runner; only the job shapes differ.
 struct MultiSeedSweep {
     std::size_t scenarios = 0;
     std::size_t variants = 0;
@@ -272,103 +276,65 @@ struct MultiSeedSweep {
     std::size_t epochs = 0;
     double shared_elapsed_s = 0.0;
     double unshared_elapsed_s = 0.0;
-    double batched_elapsed_s = 0.0;  ///< shared trace + SoA ensemble batching
-    double scalar_elapsed_s = 0.0;   ///< shared trace, batching disabled
     [[nodiscard]] double shared_runs_per_sec() const {
         return static_cast<double>(runs) / shared_elapsed_s;
     }
     [[nodiscard]] double unshared_runs_per_sec() const {
         return static_cast<double>(runs) / unshared_elapsed_s;
     }
-    [[nodiscard]] double batched_runs_per_sec() const {
-        return static_cast<double>(runs) / batched_elapsed_s;
-    }
-    [[nodiscard]] double scalar_runs_per_sec() const {
-        return static_cast<double>(runs) / scalar_elapsed_s;
-    }
     [[nodiscard]] double speedup() const {
         return unshared_elapsed_s / shared_elapsed_s;
     }
-    [[nodiscard]] double batch_speedup() const {
-        return scalar_elapsed_s / batched_elapsed_s;
-    }
 };
 
-MultiSeedSweep measure_multi_seed() {
+MultiSeedSweep measure_multi_seed(const system::FleetRunner& runner) {
+    constexpr std::size_t kSeeds = 8;
     MultiSeedSweep out;
     const char* scenarios[] = {"city-drive", "highway-drive",
                                "emergency-brake", "trailer-sway"};
-    std::vector<system::FleetJob> jobs;
+    std::vector<system::FleetJob> shared_jobs;
+    std::vector<system::FleetJob> unshared_jobs;
     for (const char* name : scenarios) {
         for (const double meas_noise : {0.0, 0.015}) {  // spec, §11 retuned
             system::FleetJob job;
             job.scenario = name;
             job.duration_s = 60.0;
-            job.seeds_per_job = 8;
             if (meas_noise > 0.0) job.meas_noise_mps2 = meas_noise;
-            jobs.push_back(std::move(job));
+            for (std::size_t k = 0; k < kSeeds; ++k) {
+                unshared_jobs.push_back(job);
+                unshared_jobs.back().base_seed += unshared_jobs.size();
+            }
+            job.seeds_per_job = kSeeds;
+            shared_jobs.push_back(std::move(job));
         }
     }
     out.scenarios = 4;
     out.variants = 2;
-    out.seeds_per_job = 8;
-    out.runs = jobs.size() * 8;
+    out.seeds_per_job = kSeeds;
+    out.runs = unshared_jobs.size();
 
     // Two repetitions per mode, fastest kept: a single short sweep is at
     // the mercy of scheduler noise, and the min is the standard estimator
     // for the actual cost.
     constexpr int kReps = 2;
-    {
-        const system::FleetRunner shared({.share_traces = true});
+    const auto time_min = [&](const std::vector<system::FleetJob>& jobs) {
+        double best = 0.0;
+        std::size_t epochs = 0;
         for (int rep = 0; rep < kReps; ++rep) {
             const auto t0 = Clock::now();
-            const auto results = shared.run(jobs);
+            const auto results = runner.run(jobs);
             const double elapsed = seconds_since(t0);
+            best = rep == 0 ? elapsed : std::min(best, elapsed);
             if (rep == 0) {
-                out.shared_elapsed_s = elapsed;
                 for (const auto& r : results) {
-                    for (const auto& s : r.seeds) out.epochs += s.trace.epochs;
+                    for (const auto& s : r.seeds) epochs += s.trace.epochs;
                 }
-            } else {
-                out.shared_elapsed_s = std::min(out.shared_elapsed_s, elapsed);
             }
         }
-    }
-    {
-        const system::FleetRunner unshared({.share_traces = false});
-        for (int rep = 0; rep < kReps; ++rep) {
-            const auto t0 = Clock::now();
-            (void)unshared.run(jobs);
-            const double elapsed = seconds_since(t0);
-            out.unshared_elapsed_s =
-                rep == 0 ? elapsed : std::min(out.unshared_elapsed_s, elapsed);
-        }
-    }
-    // The batching axis in isolation, at fixed trace sharing: the SoA
-    // ensemble path against the per-seed scalar Realize loop. The default
-    // runner above already batches; this pair pins the attribution.
-    {
-        const system::FleetRunner batched(
-            {.share_traces = true, .batch_realizations = true});
-        for (int rep = 0; rep < kReps; ++rep) {
-            const auto t0 = Clock::now();
-            (void)batched.run(jobs);
-            const double elapsed = seconds_since(t0);
-            out.batched_elapsed_s =
-                rep == 0 ? elapsed : std::min(out.batched_elapsed_s, elapsed);
-        }
-    }
-    {
-        const system::FleetRunner scalar(
-            {.share_traces = true, .batch_realizations = false});
-        for (int rep = 0; rep < kReps; ++rep) {
-            const auto t0 = Clock::now();
-            (void)scalar.run(jobs);
-            const double elapsed = seconds_since(t0);
-            out.scalar_elapsed_s =
-                rep == 0 ? elapsed : std::min(out.scalar_elapsed_s, elapsed);
-        }
-    }
+        return std::pair{best, epochs};
+    };
+    std::tie(out.shared_elapsed_s, out.epochs) = time_min(shared_jobs);
+    out.unshared_elapsed_s = time_min(unshared_jobs).first;
     return out;
 }
 
@@ -469,19 +435,20 @@ int main() {
     std::printf("%-20s %-7s %7s | %21s | %9s |\n", "", "", "",
                 "worst post-settle err (deg)", "rms m/s^2");
     for (const auto& r : results) {
-        total_epochs += r.trace.epochs;
-        if (!r.within_envelope) ++failures;
+        const auto& p = r.primary();
+        total_epochs += p.trace.epochs;
+        if (!p.within_envelope) ++failures;
         std::printf("%-20s %-7s %7zu | %7.3f %7.3f %7.3f | %9.4f | %s\n",
                     r.scenario.c_str(), system::processor_name(r.processor),
-                    r.trace.epochs, r.trace.worst_roll_err_deg,
-                    r.trace.worst_pitch_err_deg, r.trace.worst_yaw_err_deg,
-                    r.result.residual_rms,
-                    r.within_envelope ? "ok" : "OUTSIDE ENVELOPE");
+                    p.trace.epochs, p.trace.worst_roll_err_deg,
+                    p.trace.worst_pitch_err_deg, p.trace.worst_yaw_err_deg,
+                    p.result.residual_rms,
+                    p.within_envelope ? "ok" : "OUTSIDE ENVELOPE");
     }
 
     const auto stages = measure_stages();
     const auto batched = measure_batched_stages();
-    const auto multi_seed = measure_multi_seed();
+    const auto multi_seed = measure_multi_seed(runner);
     const double scen_per_s = static_cast<double>(results.size()) / elapsed;
     std::printf("\n%zu scenario runs in %.2f s: %.2f scenarios/s, "
                 "%.0f epochs/s\n",
@@ -500,11 +467,8 @@ int main() {
                 multi_seed.scenarios, multi_seed.variants,
                 multi_seed.seeds_per_job, multi_seed.shared_runs_per_sec(),
                 multi_seed.unshared_runs_per_sec(), multi_seed.speedup());
-    std::printf("ensemble batching (shared trace): batched %.2f runs/s vs "
-                "scalar %.2f runs/s -> %.2fx; per lane-epoch %.2f us "
+    std::printf("ensemble batching: per lane-epoch %.2f us "
                 "(realize %.2f + transport %.2f + fusion %.2f, %zu lanes)\n",
-                multi_seed.batched_runs_per_sec(),
-                multi_seed.scalar_runs_per_sec(), multi_seed.batch_speedup(),
                 batched.full_us, batched.realize_us, batched.transport_us,
                 batched.fusion_us, batched.lanes);
     std::printf("transport breakdown: encode+send %.2f, can_advance %.2f, "
@@ -549,12 +513,10 @@ int main() {
     w.key("shared_runs_per_sec").value(multi_seed.shared_runs_per_sec());
     w.key("unshared_runs_per_sec").value(multi_seed.unshared_runs_per_sec());
     w.key("speedup").value(multi_seed.speedup());
-    // The ensemble-batching axis at fixed trace sharing: the SoA batched
-    // path vs the per-seed scalar loop, plus its per-stage lane-epoch cost
-    // (transport is derived: full - realize - fusion).
-    w.key("batched_runs_per_sec").value(multi_seed.batched_runs_per_sec());
-    w.key("scalar_runs_per_sec").value(multi_seed.scalar_runs_per_sec());
-    w.key("batch_speedup").value(multi_seed.batch_speedup());
+    // The default runner batches the shared sweep's seeds in SoA lanes, so
+    // its throughput is the batched figure; the per-stage lane-epoch cost
+    // follows (transport is derived: full - realize - fusion).
+    w.key("batched_runs_per_sec").value(multi_seed.shared_runs_per_sec());
     w.key("batched_stage_us").begin_object();
     w.key("realize").value(batched.realize_us);
     w.key("transport").value(batched.transport_us);
@@ -568,13 +530,14 @@ int main() {
         w.begin_object();
         w.key("scenario").value(r.scenario);
         w.key("processor").value(system::processor_name(r.processor));
-        w.key("epochs").value(r.trace.epochs);
-        w.key("updates").value(r.final_status.updates);
-        w.key("worst_roll_err_deg").value(r.trace.worst_roll_err_deg);
-        w.key("worst_pitch_err_deg").value(r.trace.worst_pitch_err_deg);
-        w.key("worst_yaw_err_deg").value(r.trace.worst_yaw_err_deg);
-        w.key("residual_rms").value(r.result.residual_rms);
-        w.key("within_envelope").value(r.within_envelope);
+        const auto& p = r.primary();
+        w.key("epochs").value(p.trace.epochs);
+        w.key("updates").value(p.final_status.updates);
+        w.key("worst_roll_err_deg").value(p.trace.worst_roll_err_deg);
+        w.key("worst_pitch_err_deg").value(p.trace.worst_pitch_err_deg);
+        w.key("worst_yaw_err_deg").value(p.trace.worst_yaw_err_deg);
+        w.key("residual_rms").value(p.result.residual_rms);
+        w.key("within_envelope").value(p.within_envelope);
         w.end_object();
     }
     w.end_array();

@@ -102,13 +102,14 @@ StudyRun execute(const system::TuningStudyConfig& cfg,
                 "verdict");
     for (const auto& c : out.report.cells) {
         const auto& r = c.result;
+        const auto& p = r.primary();
         std::printf("  %-14s %-14s %-7s | %9.4f %9.4f %5zu | %4zu/%zu | %s\n",
                     r.scenario.c_str(),
                     cfg.variants[c.variant_index].label.c_str(),
-                    system::processor_name(r.processor), r.result.residual_rms,
-                    r.result.meas_noise, r.final_status.tuner_adjustments,
+                    system::processor_name(r.processor), p.result.residual_rms,
+                    p.result.meas_noise, p.final_status.tuner_adjustments,
                     r.seed_stats.within_envelope, r.seed_stats.seeds,
-                    r.within_envelope ? "ok" : "outside");
+                    p.within_envelope ? "ok" : "outside");
     }
     std::printf("\n");
     return out;
@@ -165,7 +166,7 @@ int main() {
             const auto& label = run.report.config.variants[c.variant_index].label;
             if (label == "static-0.003") continue;
             ++supported;
-            if (c.result.within_envelope) ++supported_ok;
+            if (c.result.primary().within_envelope) ++supported_ok;
         }
     };
     tally(noise);

@@ -52,19 +52,19 @@ int main() {
     bool adaptive_ok = false;
     for (const auto& c : report.cells) {
         const auto& v = cfg.variants[c.variant_index];
-        const auto& r = c.result;
-        const auto& s = r.seed_stats;
+        const auto& p = c.result.primary();
+        const auto& s = c.result.seed_stats;
         std::printf(
             "%-15s %10.4f %10.4f %6zu | %6.3f %s%6.3f | %6.3f %s%6.3f | "
             "%s (%zu/%zu)\n",
-            v.label.c_str(), v.meas_noise_mps2, r.result.meas_noise,
-            r.final_status.tuner_adjustments, s.roll_err_deg.mean, "±",
+            v.label.c_str(), v.meas_noise_mps2, p.result.meas_noise,
+            p.final_status.tuner_adjustments, s.roll_err_deg.mean, "±",
             s.roll_err_deg.ci95(s.seeds), s.pitch_err_deg.mean, "±",
             s.pitch_err_deg.ci95(s.seeds),
-            r.within_envelope ? "ok" : "outside", s.within_envelope, s.seeds);
+            p.within_envelope ? "ok" : "outside", s.within_envelope, s.seeds);
         if (v.label == "adaptive") {
-            adaptive_final_r = r.result.meas_noise;
-            adaptive_ok = r.within_envelope;
+            adaptive_final_r = p.result.meas_noise;
+            adaptive_ok = p.within_envelope;
         }
     }
 

@@ -224,16 +224,18 @@ void BoresightSystem::process_pair(const comm::DmuSample& dmu,
     if (rec > 0.0) native_->set_measurement_noise(rec);
 }
 
+math::EulerAngles BoresightSystem::estimate() const {
+    return native_ ? native_->misalignment() : sabre_->estimate().angles;
+}
+
 BoresightSystem::Status BoresightSystem::status() const {
     Status s;
+    s.estimate = estimate();
     if (native_) {
-        s.estimate = native_->misalignment();
         s.sigma3 = native_->misalignment_sigma3();
         s.measurement_noise = native_->measurement_noise();
     } else {
-        const auto est = sabre_->estimate();
-        s.estimate = est.angles;
-        s.sigma3 = est.sigma3;
+        s.sigma3 = sabre_->estimate().sigma3;
         if (coast_var_ > 0.0) {
             // Fold the host-side coast variance into the firmware's
             // reported 3σ (guarded so a never-coasted run keeps the

@@ -76,6 +76,14 @@ public:
 
     explicit BoresightSystem(const Config& cfg);
 
+    /// Pinned in place: the CAN bus delivers straight into this object's
+    /// bridge, and the bridge writes into this object's DMU link, so a
+    /// copied or moved system would feed (or dangle into) the source.
+    BoresightSystem(const BoresightSystem&) = delete;
+    BoresightSystem& operator=(const BoresightSystem&) = delete;
+    BoresightSystem(BoresightSystem&&) = delete;
+    BoresightSystem& operator=(BoresightSystem&&) = delete;
+
     /// Feed one scenario epoch into the transport at its timestamp; runs
     /// the bus/links forward and the fusion for every completed pair. The
     /// trace supplies the wire-format constants (ADXL duty-cycle law,
@@ -95,6 +103,11 @@ public:
 
     using Status = BoresightStatus;
     [[nodiscard]] Status status() const;
+
+    /// Current misalignment estimate (the native EKF's, or the Sabre
+    /// firmware's registers): status().estimate without the rest of the
+    /// status.
+    [[nodiscard]] math::EulerAngles estimate() const;
 
     /// Swap both serial links' fault models mid-run (outage/recovery
     /// drills). The links' fault draws are counter-keyed on byte index, so

@@ -409,7 +409,7 @@ std::string FaultCampaignReport::to_json() const {
         w.key("residual_detections").value(o.residual_detections);
         w.key("supervisor_detections").value(o.supervisor_detections);
         w.key("mean_detection_latency_s").value(o.mean_detection_latency_s);
-        w.key("epochs").value(r.trace.epochs);
+        w.key("epochs").value(r.primary().trace.epochs);
         w.key("realizations").begin_array();
         for (const auto& s : r.seeds) {
             w.begin_object();

@@ -298,7 +298,7 @@ private:
         sys.feed(sc.trace(), t, dmu, adxl);
         ++epochs;
         if (scorer.checked(t)) {
-            scorer.score(out, t, sys.status().estimate, sc.true_misalignment());
+            scorer.score(out, t, sys.estimate(), sc.true_misalignment());
         }
         if (scorer.bump_due(t)) sc.bump(spec.bump.delta);
     }
@@ -421,15 +421,6 @@ FleetResult reduce_fleet_job(const FleetJob& job,
     out.scenario = job.scenario;
     out.processor = job.processor;
     out.envelope = job_envelope(job, spec);
-
-    const FleetSeedResult& primary = seeds.front();
-    out.result = primary.result;
-    out.trace = primary.trace;
-    out.final_status = primary.final_status;
-    out.within_envelope = primary.within_envelope;
-    out.calibrated_bias = primary.calibrated_bias;
-    out.calibration_noise = primary.calibration_noise;
-    out.calibration_samples = primary.calibration_samples;
 
     out.seed_stats.seeds = seeds.size();
     for (const auto& s : seeds) {
@@ -696,9 +687,7 @@ FleetRunner::FleetRunner() : FleetRunner(Config{}) {}
 FleetRunner::FleetRunner(Config cfg)
     : threads_(cfg.threads != 0
                    ? cfg.threads
-                   : std::max(1u, std::thread::hardware_concurrency())),
-      share_traces_(cfg.share_traces),
-      batch_realizations_(cfg.batch_realizations) {}
+                   : std::max(1u, std::thread::hardware_concurrency())) {}
 
 std::vector<FleetResult> FleetRunner::run(
     const std::vector<FleetJob>& jobs) const {
@@ -789,24 +778,20 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
         const std::size_t lo = std::max(first, base);
         const std::size_t hi = std::min(slice_end, base + seeds);
         if (lo < hi) {
-            if (share_traces_) {
-                const auto intern = [&](bool calibration) {
-                    const TraceKey key =
-                        key_of(jobs[j], *specs[j], calibration);
-                    auto [it, inserted] =
-                        slot_index.try_emplace(key, slots.size());
-                    if (inserted) {
-                        slots.emplace_back();
-                        slots.back().job = &jobs[j];
-                        slots.back().calibration = calibration;
-                    }
-                    return it->second;
-                };
-                main_slot[j] = intern(false);
-                if (jobs[j].calibration) {
-                    cal_slot[j] = intern(true);
-                    slots[cal_slot[j]].main_slot_for_cal = main_slot[j];
+            const auto intern = [&](bool calibration) {
+                const TraceKey key = key_of(jobs[j], *specs[j], calibration);
+                auto [it, inserted] = slot_index.try_emplace(key, slots.size());
+                if (inserted) {
+                    slots.emplace_back();
+                    slots.back().job = &jobs[j];
+                    slots.back().calibration = calibration;
                 }
+                return it->second;
+            };
+            main_slot[j] = intern(false);
+            if (jobs[j].calibration) {
+                cal_slot[j] = intern(true);
+                slots[cal_slot[j]].main_slot_for_cal = main_slot[j];
             }
             for (std::size_t g = lo; g < hi; ++g) {
                 items.push_back({j, static_cast<std::uint64_t>(g - base)});
@@ -820,12 +805,10 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
             ", " + std::to_string(slice_end) + ") overruns the " +
             std::to_string(base) + "-item plan");
     }
-    if (share_traces_) {
-        for (const auto& item : items) {
-            ++slots[main_slot[item.job]].remaining;
-            if (cal_slot[item.job] != kNoSlot) {
-                ++slots[cal_slot[item.job]].remaining;
-            }
+    for (const auto& item : items) {
+        ++slots[main_slot[item.job]].remaining;
+        if (cal_slot[item.job] != kNoSlot) {
+            ++slots[cal_slot[item.job]].remaining;
         }
     }
 
@@ -858,20 +841,19 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
     }
 
     // ---- Realize: per-seed realization over the shared traces. -----------
-    // Work units: by default one item each, but when batching is on,
-    // contiguous plan-order runs of one batchable job's items (consecutive
-    // seed indices by construction of the plan walk) merge into ensemble
-    // units of up to kMaxBatchLanes lanes. A unit is still one scheduling
-    // quantum — which thread runs it never changes what it computes.
+    // Work units: contiguous plan-order runs of one batchable job's items
+    // (consecutive seed indices by construction of the plan walk) merge
+    // into ensemble units of up to kMaxBatchLanes lanes; every other item
+    // is a unit of its own. A unit is still one scheduling quantum — which
+    // thread runs it never changes what it computes.
     struct Unit {
         std::size_t first = 0;  ///< index into items/outcomes/errors
         std::size_t count = 1;  ///< lanes; 1 => scalar run_fleet_seed
     };
     std::vector<Unit> units;
     units.reserve(items.size());
-    const bool batching = batch_realizations_ && share_traces_;
     for (std::size_t i = 0; i < items.size(); ++i) {
-        if (batching && !units.empty()) {
+        if (!units.empty()) {
             Unit& u = units.back();
             const Item& prev = items[i - 1];
             const Item& cur = items[i];
@@ -891,26 +873,14 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
         const FleetJob& job = jobs[head.job];
         const sim::ScenarioSpec& spec = *specs[head.job];
         try {
-            std::shared_ptr<const sim::ScenarioTrace> trace;
+            const TraceSlot& ms = slots[main_slot[head.job]];
+            if (ms.error) std::rethrow_exception(ms.error);
+            const auto& trace = ms.trace;
             std::shared_ptr<const sim::ScenarioTrace> cal_trace;
-            if (share_traces_) {
-                TraceSlot& ms = slots[main_slot[head.job]];
-                if (ms.error) std::rethrow_exception(ms.error);
-                trace = ms.trace;
-                if (cal_slot[head.job] != kNoSlot) {
-                    TraceSlot& cs = slots[cal_slot[head.job]];
-                    if (cs.error) std::rethrow_exception(cs.error);
-                    cal_trace = cs.trace;
-                }
-            } else {
-                trace = sim::ScenarioTrace::build(
-                    main_scenario_config(job, spec), job_sensor_stream(job));
-                if (job.calibration) {
-                    cal_trace = sim::ScenarioTrace::build(
-                        calibration_scenario_config(
-                            *trace, job.calibration->duration_s),
-                        job_sensor_stream(job));
-                }
+            if (cal_slot[head.job] != kNoSlot) {
+                const TraceSlot& cs = slots[cal_slot[head.job]];
+                if (cs.error) std::rethrow_exception(cs.error);
+                cal_trace = cs.trace;
             }
             if (unit.count == 1) {
                 outcomes[unit.first] =
@@ -925,7 +895,6 @@ std::vector<FleetSeedResult> FleetRunner::run_items(
         // Release each trace as its last realization drains so a long
         // sweep's memory high-water mark follows the active scenarios, not
         // the batch.
-        if (!share_traces_) return;
         for (const std::size_t s : {main_slot[head.job], cal_slot[head.job]}) {
             if (s != kNoSlot &&
                 slots[s].remaining.fetch_sub(unit.count) == unit.count) {

@@ -153,13 +153,13 @@ struct FleetTraceSummary {
 /// output. Realization 0 is the historical single-seed run.
 struct FleetSeedResult {
     std::uint64_t sensor_seed = 0;  ///< fleet_sub_seed(stream, index)
-    core::AlignmentResult result;
+    core::AlignmentResult result;   ///< Table 1 row shape for this run
     FleetTraceSummary trace;
     BoresightSystem::Status final_status{};
     bool within_envelope = false;
     // §11.1 calibration-phase outputs (all zero for uncalibrated jobs).
-    math::Vec2 calibrated_bias{};
-    double calibration_noise = 0.0;
+    math::Vec2 calibrated_bias{};    ///< bias subtracted during the run
+    double calibration_noise = 0.0;  ///< per-sample noise at calibration
     std::size_t calibration_samples = 0;
 };
 
@@ -191,23 +191,21 @@ struct FleetResult {
     std::string scenario;
     BoresightSystem::Processor processor =
         BoresightSystem::Processor::kNative;
-    // Primary fields mirror seed realization 0 — bitwise the pre-seed-axis
-    // result, whatever seeds_per_job is.
-    core::AlignmentResult result;  ///< Table 1 row shape for this run
-    FleetTraceSummary trace;
-    BoresightSystem::Status final_status{};
     /// Envelope applied to this run (spec envelope, Sabre-scaled when the
     /// job ran on the firmware processor).
     sim::ScenarioEnvelope envelope{};
-    bool within_envelope = false;
-    // §11.1 calibration-phase outputs (all zero for uncalibrated jobs).
-    math::Vec2 calibrated_bias{};    ///< bias subtracted during the run
-    double calibration_noise = 0.0;  ///< per-sample noise at calibration
-    std::size_t calibration_samples = 0;
-    /// All realizations in seed-index order (size == job.seeds_per_job;
-    /// seeds[0] repeats the primary fields) plus their ensemble summary.
+    /// All realizations in seed-index order (size == job.seeds_per_job)
+    /// plus their ensemble summary.
     std::vector<FleetSeedResult> seeds;
     FleetSeedStats seed_stats;
+
+    /// Realization 0 — bitwise the single-seed (scenario, base_seed) run,
+    /// whatever seeds_per_job is. reduce_fleet_job guarantees
+    /// seeds.size() == seeds_per_job >= 1, so this is always valid on a
+    /// result it produced.
+    [[nodiscard]] const FleetSeedResult& primary() const {
+        return seeds.front();
+    }
 };
 
 /// Execute one job serially. This is the reference semantics: FleetRunner
@@ -215,11 +213,10 @@ struct FleetResult {
 [[nodiscard]] FleetResult run_fleet_job(const FleetJob& job);
 
 /// Fold a job's seed ensemble (seed-index order, size == seeds_per_job)
-/// into its FleetResult: primary fields mirror realization 0 bit for bit,
-/// the ensemble summary accumulates in seed order. This is the Reduce step
-/// FleetRunner and run_fleet_job share — fleet_merge applies it to seed
-/// results recombined from shard artifacts, which is why a merged batch is
-/// bitwise the single-process run.
+/// into its FleetResult; the ensemble summary accumulates in seed order.
+/// This is the Reduce step FleetRunner and run_fleet_job share —
+/// fleet_merge applies it to seed results recombined from shard artifacts,
+/// which is why a merged batch is bitwise the single-process run.
 [[nodiscard]] FleetResult reduce_fleet_job(const FleetJob& job,
                                            std::vector<FleetSeedResult> seeds);
 
@@ -262,9 +259,14 @@ struct FleetPlan {
 ///            parallel (immutable, shared across every realization that
 ///            consumes it — all {processor × tuner × seed} variants of a
 ///            scenario);
-///   Realize: a fixed pool of worker threads pulls realizations off a
-///            shared index; traces are released as their last realization
-///            drains.
+///   Realize: a fixed pool of worker threads pulls work units off a
+///            shared index. Contiguous seed runs of one native, un-faulted
+///            job step their shared trace together in SoA lanes
+///            (sim::EnsembleRealizer + system::EnsembleNominalSystem);
+///            Sabre jobs, jobs with an active fault and lanes that leave
+///            the nominal transport envelope run the scalar path, which is
+///            run_fleet_job's. Traces are released as their last
+///            realization drains.
 ///
 /// Scheduling decides only WHICH thread runs a work unit, never what it
 /// computes, so the results vector — indexed by job position, seeds in
@@ -274,23 +276,6 @@ class FleetRunner {
 public:
     struct Config {
         std::size_t threads = 0;  ///< 0 => std::thread::hardware_concurrency
-        /// Share one ScenarioTrace across all realizations with the same
-        /// trace identity. Off = every realization synthesizes its own
-        /// trace (the pre-Plan/Trace/Realize cost model; the fleet bench
-        /// uses it to measure the amortization win). Results are bitwise
-        /// identical either way.
-        bool share_traces = true;
-        /// Batch the Realize phase across the seed axis: contiguous runs
-        /// of one native, un-faulted job's realizations step their shared
-        /// trace together in SoA lanes (sim::EnsembleRealizer +
-        /// system::EnsembleNominalSystem) instead of N sequential scalar
-        /// loops. Requires share_traces (the batch IS the shared-trace
-        /// fast path; with per-realization traces the pre-amortization
-        /// cost model being measured would disappear). Sabre jobs, jobs
-        /// with an active fault, and lanes that leave the nominal
-        /// transport envelope fall back to the scalar path. Results are
-        /// bitwise identical either way, lane for lane.
-        bool batch_realizations = true;
     };
 
     FleetRunner();  ///< default Config (all hardware threads)
@@ -316,15 +301,9 @@ public:
         std::size_t count) const;
 
     [[nodiscard]] std::size_t threads() const { return threads_; }
-    [[nodiscard]] bool share_traces() const { return share_traces_; }
-    [[nodiscard]] bool batch_realizations() const {
-        return batch_realizations_;
-    }
 
 private:
     std::size_t threads_;
-    bool share_traces_;
-    bool batch_realizations_;
 };
 
 /// One job per library scenario on the given processor — the standard

@@ -115,27 +115,28 @@ JobResultMessage make_job_result(std::uint32_t index, std::uint32_t count,
                                  const std::string& label,
                                  const FleetJob& job, const FleetResult& r) {
     JobResultMessage m;
+    const FleetSeedResult& p = r.primary();
     m.job_index = index;
     m.job_count = count;
     m.scenario = label;
     m.processor = job.processor == BoresightSystem::Processor::kSabre
                       ? kProcessorSabre
                       : kProcessorNative;
-    m.within_envelope = r.within_envelope;
+    m.within_envelope = p.within_envelope;
     m.seeds = static_cast<std::uint16_t>(job.seeds_per_job);
     m.seeds_within_envelope =
         static_cast<std::uint32_t>(r.seed_stats.within_envelope);
-    m.estimate_rad[0] = r.result.estimate.roll;
-    m.estimate_rad[1] = r.result.estimate.pitch;
-    m.estimate_rad[2] = r.result.estimate.yaw;
-    for (std::size_t i = 0; i < 3; ++i) m.sigma3_rad[i] = r.result.sigma3_rad[i];
-    m.residual_rms = r.result.residual_rms;
-    m.meas_noise = r.result.meas_noise;
-    m.duration_s = r.result.duration_s;
-    m.worst_err_deg[0] = r.trace.worst_roll_err_deg;
-    m.worst_err_deg[1] = r.trace.worst_pitch_err_deg;
-    m.worst_err_deg[2] = r.trace.worst_yaw_err_deg;
-    m.tuner_adjustments = r.final_status.tuner_adjustments;
+    m.estimate_rad[0] = p.result.estimate.roll;
+    m.estimate_rad[1] = p.result.estimate.pitch;
+    m.estimate_rad[2] = p.result.estimate.yaw;
+    for (std::size_t i = 0; i < 3; ++i) m.sigma3_rad[i] = p.result.sigma3_rad[i];
+    m.residual_rms = p.result.residual_rms;
+    m.meas_noise = p.result.meas_noise;
+    m.duration_s = p.result.duration_s;
+    m.worst_err_deg[0] = p.trace.worst_roll_err_deg;
+    m.worst_err_deg[1] = p.trace.worst_pitch_err_deg;
+    m.worst_err_deg[2] = p.trace.worst_yaw_err_deg;
+    m.tuner_adjustments = p.final_status.tuner_adjustments;
     return m;
 }
 

@@ -95,8 +95,9 @@ TuningStudyReport TuningStudy::run(const FleetRunner& runner) const {
     auto results = runner.run(jobs_);
     report.cells = shape_;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        report.cells[i].result = std::move(results[i]);
-        if (report.cells[i].result.within_envelope) ++report.within_envelope;
+        auto& cell = report.cells[i];
+        cell.result = std::move(results[i]);
+        if (cell.result.primary().within_envelope) ++report.within_envelope;
     }
     return report;
 }
@@ -192,6 +193,7 @@ std::string TuningStudyReport::to_json() const {
     w.key("cells").begin_array();
     for (const auto& c : cells) {
         const auto& r = c.result;
+        const FleetSeedResult& p = r.primary();
         w.begin_object();
         w.key("scenario").value(r.scenario);
         w.key("variant").value(config.variants[c.variant_index].label);
@@ -203,28 +205,28 @@ std::string TuningStudyReport::to_json() const {
         w.value(c.processor_index);
         w.end_array();
         w.key("truth_deg");
-        write_angles_deg(w, r.result.truth);
+        write_angles_deg(w, p.result.truth);
         w.key("estimate_deg");
-        write_angles_deg(w, r.result.estimate);
+        write_angles_deg(w, p.result.estimate);
         w.key("sigma3_deg").begin_array();
-        for (std::size_t i = 0; i < 3; ++i) w.value(rad2deg(r.result.sigma3_rad[i]));
+        for (std::size_t i = 0; i < 3; ++i) w.value(rad2deg(p.result.sigma3_rad[i]));
         w.end_array();
-        w.key("residual_rms_mps2").value(r.result.residual_rms);
-        w.key("final_meas_noise_mps2").value(r.result.meas_noise);
-        w.key("tuner_adjustments").value(r.final_status.tuner_adjustments);
-        w.key("within_envelope").value(r.within_envelope);
-        w.key("epochs").value(r.trace.epochs);
-        w.key("updates").value(r.final_status.updates);
+        w.key("residual_rms_mps2").value(p.result.residual_rms);
+        w.key("final_meas_noise_mps2").value(p.result.meas_noise);
+        w.key("tuner_adjustments").value(p.final_status.tuner_adjustments);
+        w.key("within_envelope").value(p.within_envelope);
+        w.key("epochs").value(p.trace.epochs);
+        w.key("updates").value(p.final_status.updates);
         w.key("worst_err_deg").begin_array();
-        w.value(r.trace.worst_roll_err_deg);
-        w.value(r.trace.worst_pitch_err_deg);
-        w.value(r.trace.worst_yaw_err_deg);
+        w.value(p.trace.worst_roll_err_deg);
+        w.value(p.trace.worst_pitch_err_deg);
+        w.value(p.trace.worst_yaw_err_deg);
         w.end_array();
         w.key("calibrated_bias_mps2").begin_array();
-        w.value(r.calibrated_bias[0]);
-        w.value(r.calibrated_bias[1]);
+        w.value(p.calibrated_bias[0]);
+        w.value(p.calibrated_bias[1]);
         w.end_array();
-        w.key("calibration_samples").value(r.calibration_samples);
+        w.key("calibration_samples").value(p.calibration_samples);
         write_seed_stats(w, r.seed_stats);
         w.end_object();
     }

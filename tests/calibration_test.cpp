@@ -86,12 +86,12 @@ TEST(CalibrationAccumulator, StandardErrorTightensWithSamples) {
 
 // --- Fleet calibration phase ------------------------------------------------
 
-system::FleetResult run_static(Processor proc, bool calibrate) {
+system::FleetSeedResult run_static(Processor proc, bool calibrate) {
     system::FleetJob job;
     job.scenario = "static-level";
     job.processor = proc;
     if (calibrate) job.calibration = system::FleetCalibration{30.0};
-    return system::run_fleet_job(job);
+    return system::run_fleet_job(job).primary();
 }
 
 TEST(FleetCalibration, RecordsBiasAndSampleCount) {
@@ -158,7 +158,7 @@ TEST(FleetTuner, DefaultTunerReproducesTheSec11Retune) {
     job.scenario = "city-drive";
     job.use_adaptive_tuner = true;
     job.meas_noise_mps2 = 0.003;  // paper's quietest static tuning
-    const auto r = system::run_fleet_job(job);
+    const auto r = system::run_fleet_job(job).primary();
     // Driving residuals force the noise out of the static band toward the
     // paper's 0.015+ retune (measured: 0.0145 after 19 adjustments).
     EXPECT_GE(r.result.meas_noise, 0.012);
@@ -174,7 +174,7 @@ TEST(FleetTuner, CeilingOverrideCapsTheRetune) {
     core::AdaptiveTunerConfig tuner;
     tuner.ceiling_mps2 = 0.008;
     job.tuner = tuner;
-    const auto r = system::run_fleet_job(job);
+    const auto r = system::run_fleet_job(job).primary();
     EXPECT_LE(r.result.meas_noise, 0.008 + 1e-12);
     EXPECT_GT(r.final_status.tuner_adjustments, 0u);
 }
@@ -182,7 +182,7 @@ TEST(FleetTuner, CeilingOverrideCapsTheRetune) {
 TEST(FleetTuner, TunerOffLeavesSpecNoiseUntouched) {
     system::FleetJob job;
     job.scenario = "city-drive";
-    const auto r = system::run_fleet_job(job);
+    const auto r = system::run_fleet_job(job).primary();
     const auto& spec = sim::ScenarioLibrary::instance().at("city-drive");
     EXPECT_EQ(r.result.meas_noise, spec.meas_noise_mps2);
     EXPECT_EQ(r.final_status.tuner_adjustments, 0u);

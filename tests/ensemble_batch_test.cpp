@@ -318,7 +318,7 @@ TEST(EnsembleNominalSystem, ImplausibleLaneFallsOutOthersStayBitwiseScalar) {
         j.seeds_per_job = 1;
         jobs.push_back(j);
     }
-    {  // Active fault: not batchable, scalar on both configurations.
+    {  // Active fault: not batchable, scalar on both sides.
         system::FleetJob j;
         j.scenario = "city-drive";
         j.duration_s = 15.0;
@@ -342,34 +342,22 @@ TEST(EnsembleNominalSystem, ImplausibleLaneFallsOutOthersStayBitwiseScalar) {
 TEST(EnsembleBatch, FleetResultsBitwiseEqualScalarForEverySeed) {
     const auto jobs = differential_jobs();
 
-    const auto realize = [&](bool batch, std::size_t threads) {
-        system::FleetRunner runner(
-            {.threads = threads, .share_traces = true,
-             .batch_realizations = batch});
-        return runner.run(jobs);
-    };
+    // run_fleet_job realizes every seed through scalar run_fleet_seed,
+    // serially: the reference the batched runner must match lane for lane.
+    std::vector<system::FleetResult> reference;
+    for (const auto& job : jobs) reference.push_back(system::run_fleet_job(job));
 
-    const auto reference = realize(false, 1);
-    const struct {
-        bool batch;
-        std::size_t threads;
-        const char* what;
-    } variants[] = {
-        {true, 1, "batched serial"},
-        {true, 8, "batched 8-thread"},
-        {false, 8, "scalar 8-thread"},
-    };
-    for (const auto& v : variants) {
-        const auto got = realize(v.batch, v.threads);
+    for (const std::size_t threads : {1u, 8u}) {
+        const auto got = system::FleetRunner({.threads = threads}).run(jobs);
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             ASSERT_EQ(got[j].seeds.size(), reference[j].seeds.size())
-                << v.what << " job " << j;
+                << threads << " thread(s), job " << j;
             for (std::size_t s = 0; s < reference[j].seeds.size(); ++s) {
                 EXPECT_EQ(seed_bytes(got[j].seeds[s]),
                           seed_bytes(reference[j].seeds[s]))
-                    << v.what << ": job " << j << " (" << jobs[j].scenario
-                    << ") seed index " << s
+                    << threads << " thread(s): job " << j << " ("
+                    << jobs[j].scenario << ") seed index " << s
                     << " diverged from the scalar serial reference";
             }
         }
@@ -386,15 +374,11 @@ TEST(EnsembleBatch, ShardSliceStartingMidJobMatchesScalar) {
     j.seeds_per_job = 8;
     jobs.push_back(j);
 
-    system::FleetRunner batched(
-        {.threads = 2, .share_traces = true, .batch_realizations = true});
-    system::FleetRunner scalar(
-        {.threads = 1, .share_traces = true, .batch_realizations = false});
-    const auto got = batched.run_items(jobs, 3, 5);
-    const auto ref = scalar.run_items(jobs, 3, 5);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(seed_bytes(got[i]), seed_bytes(ref[i]))
+    const auto got = system::FleetRunner({.threads = 2}).run_items(jobs, 3, 5);
+    const auto ref = system::run_fleet_job(j).seeds;
+    ASSERT_EQ(got.size(), 5u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(seed_bytes(got[i]), seed_bytes(ref[3 + i]))
             << "slice item " << i << " (seed index " << 3 + i << ")";
     }
 }

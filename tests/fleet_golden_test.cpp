@@ -77,7 +77,7 @@ std::string header_line() {
     return h;
 }
 
-std::vector<std::uint64_t> exact_values(const system::FleetResult& r) {
+std::vector<std::uint64_t> exact_values(const system::FleetSeedResult& r) {
     return {r.trace.epochs,
             r.final_status.updates,
             r.trace.checked_points,
@@ -86,7 +86,7 @@ std::vector<std::uint64_t> exact_values(const system::FleetResult& r) {
             r.within_envelope ? 1u : 0u};
 }
 
-std::vector<double> double_values(const system::FleetResult& r) {
+std::vector<double> double_values(const system::FleetSeedResult& r) {
     return {r.result.estimate.roll,
             r.result.estimate.pitch,
             r.result.estimate.yaw,
@@ -100,7 +100,8 @@ std::vector<double> double_values(const system::FleetResult& r) {
             r.trace.worst_yaw_err_deg};
 }
 
-std::string render_golden(const FleetCase& c, const system::FleetResult& r) {
+std::string render_golden(const FleetCase& c,
+                          const system::FleetSeedResult& r) {
     std::string out = header_line() + "\n";
     out += c.scenario;
     out += ',';
@@ -136,7 +137,8 @@ TEST_P(FleetGolden, MatchesCorpus) {
     system::FleetJob job;
     job.scenario = c.scenario;
     job.processor = c.processor;
-    const auto r = system::run_fleet_job(job);
+    const auto result = system::run_fleet_job(job);
+    const system::FleetSeedResult& r = result.primary();
     const std::string path = golden_path(c);
 
     if (g_update_golden) {

@@ -24,18 +24,19 @@ TEST_P(FleetRegression, StaysInsideEnvelope) {
     const auto r = system::run_fleet_job(job);
 
     testutil::expect_inside_envelope(r);
+    const auto& p = r.primary();
 
     // Transport health: the default links are loss-free, and nearly every
     // epoch must have paired up into a fusion update.
-    EXPECT_EQ(r.final_status.dmu_frames_lost, 0u);
-    EXPECT_EQ(r.final_status.acc_packets_lost, 0u);
-    EXPECT_GT(r.final_status.updates, (9 * r.trace.epochs) / 10);
+    EXPECT_EQ(p.final_status.dmu_frames_lost, 0u);
+    EXPECT_EQ(p.final_status.acc_packets_lost, 0u);
+    EXPECT_GT(p.final_status.updates, (9 * p.trace.epochs) / 10);
 
     // Confidence must be meaningful: strictly positive 3-sigma that the
     // observable axes have actually tightened from the 5-degree prior.
     for (std::size_t axis = 0; axis < 2; ++axis) {
-        EXPECT_GT(r.result.sigma3_rad[axis], 0.0);
-        EXPECT_LT(math::rad2deg(r.result.sigma3_rad[axis]), 5.0);
+        EXPECT_GT(p.result.sigma3_rad[axis], 0.0);
+        EXPECT_LT(math::rad2deg(p.result.sigma3_rad[axis]), 5.0);
     }
 }
 

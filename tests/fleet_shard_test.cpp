@@ -203,8 +203,8 @@ TEST(ShardMerge, RealizeMatchesFleetRunnerRun) {
         }
         EXPECT_EQ(realized[j].seed_stats.within_envelope,
                   direct[j].seed_stats.within_envelope);
-        EXPECT_EQ(realized[j].result.residual_rms,
-                  direct[j].result.residual_rms);
+        EXPECT_EQ(realized[j].primary().result.residual_rms,
+                  direct[j].primary().result.residual_rms);
     }
 }
 

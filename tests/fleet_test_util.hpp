@@ -51,19 +51,20 @@ inline std::string fleet_case_name(
 /// Assert the completed job stayed inside its (possibly Sabre-scaled)
 /// envelope, with the worst excursion per axis reported on failure.
 inline void expect_inside_envelope(const system::FleetResult& r) {
-    EXPECT_GT(r.trace.checked_points, 0u)
+    const auto& p = r.primary();
+    EXPECT_GT(p.trace.checked_points, 0u)
         << r.scenario << ": no samples after settle time";
-    EXPECT_LE(r.trace.worst_roll_err_deg, r.envelope.roll_deg)
+    EXPECT_LE(p.trace.worst_roll_err_deg, r.envelope.roll_deg)
         << r.scenario << ": roll escaped the envelope";
-    EXPECT_LE(r.trace.worst_pitch_err_deg, r.envelope.pitch_deg)
+    EXPECT_LE(p.trace.worst_pitch_err_deg, r.envelope.pitch_deg)
         << r.scenario << ": pitch escaped the envelope";
     if (r.envelope.check_yaw) {
-        EXPECT_LE(r.trace.worst_yaw_err_deg, r.envelope.yaw_deg)
+        EXPECT_LE(p.trace.worst_yaw_err_deg, r.envelope.yaw_deg)
             << r.scenario << ": yaw escaped the envelope";
     }
-    EXPECT_LE(r.result.residual_rms, r.envelope.residual_rms_max)
+    EXPECT_LE(p.result.residual_rms, r.envelope.residual_rms_max)
         << r.scenario << ": innovation RMS above bound";
-    EXPECT_TRUE(r.within_envelope);
+    EXPECT_TRUE(p.within_envelope);
 }
 
 }  // namespace ob::testutil

@@ -59,15 +59,15 @@ TEST(ScenarioRegression, CarParkBumpReconverges) {
     // misalignment plus the knock.
     const auto& spec = sim::ScenarioLibrary::instance().at("carpark-bump");
     ASSERT_TRUE(spec.bump.enabled());
-    EXPECT_NEAR(r.result.truth.roll,
+    EXPECT_NEAR(r.primary().result.truth.roll,
                 spec.misalignment.roll + spec.bump.delta.roll, 1e-12);
-    EXPECT_NEAR(r.result.truth.pitch,
+    EXPECT_NEAR(r.primary().result.truth.pitch,
                 spec.misalignment.pitch + spec.bump.delta.pitch, 1e-12);
 
     // The transport stayed healthy throughout.
-    EXPECT_GT(r.final_status.updates, 20000u);
-    EXPECT_EQ(r.final_status.dmu_frames_lost, 0u);
-    EXPECT_EQ(r.final_status.acc_packets_lost, 0u);
+    EXPECT_GT(r.primary().final_status.updates, 20000u);
+    EXPECT_EQ(r.primary().final_status.dmu_frames_lost, 0u);
+    EXPECT_EQ(r.primary().final_status.acc_packets_lost, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ TEST(ScenarioRegression, DynamicCityDriveConverges) {
     job.scenario = "city-drive";
     const auto r = system::run_fleet_job(job);
     expect_inside_envelope(r);
-    EXPECT_GT(r.final_status.updates, 15000u);
+    EXPECT_GT(r.primary().final_status.updates, 15000u);
 }
 
 TEST(ScenarioRegression, DynamicHighwayDriveConverges) {
@@ -88,7 +88,7 @@ TEST(ScenarioRegression, DynamicHighwayDriveConverges) {
     job.scenario = "highway-drive";
     const auto r = system::run_fleet_job(job);
     expect_inside_envelope(r);
-    EXPECT_GT(r.final_status.updates, 15000u);
+    EXPECT_GT(r.primary().final_status.updates, 15000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -115,8 +115,8 @@ TEST(ScenarioRegression, HeadlightPodErrorWithinAimBand) {
 
     // And the knocked pod is *detected*: the estimated pitch error exceeds
     // both its own 3-sigma and half the aim band before the run ends.
-    const double pitch = std::abs(rad2deg(r.result.estimate.pitch));
-    const double s3 = rad2deg(r.result.sigma3_rad[1]);
+    const double pitch = std::abs(rad2deg(r.primary().result.estimate.pitch));
+    const double s3 = rad2deg(r.primary().result.sigma3_rad[1]);
     EXPECT_GT(pitch, s3);
     EXPECT_GT(pitch, 0.5 * aim_limit_deg);
 }
@@ -208,8 +208,8 @@ TEST(ScenarioRegression, FleetJobsAreBitwiseDeterministic) {
     job.scenario = "city-drive";
     job.duration_s = 60.0;
 
-    const auto a = system::run_fleet_job(job);
-    const auto b = system::run_fleet_job(job);
+    const auto a = system::run_fleet_job(job).primary();
+    const auto b = system::run_fleet_job(job).primary();
 
     EXPECT_EQ(a.final_status.updates, b.final_status.updates);
     // Bitwise equality, not EXPECT_NEAR: any drift means hidden state.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+
+#include "comm/uart.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario.hpp"
 #include "system/boresight_system.hpp"
@@ -11,6 +16,11 @@ using namespace ob;
 using math::deg2rad;
 using math::EulerAngles;
 using math::rad2deg;
+
+// The CAN bus delivers into the system's own bridge and the bridge into
+// its own DMU link, so a copied or moved system would feed its source.
+static_assert(!std::is_move_constructible_v<system::BoresightSystem> &&
+              !std::is_copy_constructible_v<system::BoresightSystem>);
 
 TEST(BoresightSystem, NativeEndToEndWithFullTransport) {
     const EulerAngles truth = EulerAngles::from_deg(1.0, -1.5, 2.0);
@@ -94,6 +104,48 @@ TEST(BoresightSystem, AdaptiveTunerRaisesNoiseWhenDriving) {
     while (auto s = sc.next()) sys.feed(sc, *s);
     EXPECT_GT(sys.status().measurement_noise, 0.01)
         << "tuner must have raised R from the static value";
+}
+
+/// estimate() is status().estimate without the rest of the status, bit for
+/// bit at every epoch: on a clean native run, and on a Sabre run that
+/// coasts through a total link outage and recovers.
+void expect_estimate_matches_status(system::BoresightSystem::Processor proc,
+                                    bool outage) {
+    auto scfg = sim::ScenarioConfig::static_level(
+        12.0, EulerAngles::from_deg(1.0, -0.8, 0.0));
+    sim::Scenario sc(scfg, 9);
+    system::BoresightSystem::Config cfg;
+    cfg.processor = proc;
+    system::BoresightSystem sys(cfg);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const comm::UartFaults blind{.drop_probability = 1.0};
+    while (auto s = sc.next()) {
+        const bool dark = outage && s->t >= 3.0 && s->t < 6.0;
+        sys.set_link_faults(dark ? blind : comm::UartFaults{},
+                            dark ? blind : comm::UartFaults{});
+        sys.feed(sc, *s);
+        const auto est = sys.estimate();
+        const auto st = sys.status();
+        ASSERT_EQ(bits(est.roll), bits(st.estimate.roll)) << "t=" << s->t;
+        ASSERT_EQ(bits(est.pitch), bits(st.estimate.pitch)) << "t=" << s->t;
+        ASSERT_EQ(bits(est.yaw), bits(st.estimate.yaw)) << "t=" << s->t;
+    }
+    const auto st = sys.status();
+    EXPECT_GT(st.updates, 0u);
+    if (outage) {
+        EXPECT_GT(st.coast_s, 0.0) << "the outage must have coasted";
+        EXPECT_GE(st.recoveries, 1u);
+    }
+}
+
+TEST(BoresightSystem, EstimateEqualsStatusEstimateNative) {
+    expect_estimate_matches_status(
+        system::BoresightSystem::Processor::kNative, false);
+}
+
+TEST(BoresightSystem, EstimateEqualsStatusEstimateSabreCoasting) {
+    expect_estimate_matches_status(
+        system::BoresightSystem::Processor::kSabre, true);
 }
 
 }  // namespace

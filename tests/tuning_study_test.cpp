@@ -182,8 +182,8 @@ TEST(TuningStudy, AdaptiveRetuneParityAcrossProcessors) {
     const auto report = study.run(system::FleetRunner({.threads = 2}));
 
     ASSERT_EQ(report.cells.size(), 2u);
-    const auto& native = report.cells[0].result;
-    const auto& sabre = report.cells[1].result;
+    const auto& native = report.cells[0].result.primary();
+    const auto& sabre = report.cells[1].result.primary();
     ASSERT_EQ(report.cells[0].processor_index, 0u);
     EXPECT_GE(native.final_status.tuner_adjustments, 3u);
     EXPECT_GE(sabre.final_status.tuner_adjustments, 3u);
@@ -278,9 +278,9 @@ TEST(TuningStudy, ReportCarriesPerCellReductions) {
     EXPECT_EQ(report.cells[0].variant_index, 0u);
     EXPECT_EQ(report.cells[1].variant_index, 1u);
     EXPECT_EQ(report.cells[0].result.scenario, "static-level");
-    EXPECT_GT(report.cells[0].result.trace.epochs, 0u);
+    EXPECT_GT(report.cells[0].result.primary().trace.epochs, 0u);
     // The quiet variant must actually carry the overridden noise.
-    EXPECT_EQ(report.cells[1].result.result.meas_noise, 0.003);
+    EXPECT_EQ(report.cells[1].result.primary().result.meas_noise, 0.003);
 
     const std::string json = report.to_json();
     EXPECT_NE(json.find("\"study\":\"shape\""), std::string::npos);

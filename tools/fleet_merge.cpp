@@ -60,14 +60,15 @@ int main(int argc, char** argv) {
         const auto results = system::realize_shard_results(merged);
         std::size_t failures = 0;
         for (const auto& r : results) {
-            if (!r.within_envelope) ++failures;
+            const auto& p = r.primary();
+            if (!p.within_envelope) ++failures;
             if (!quiet) {
                 std::printf("%-20s %-7s seeds %zu/%zu | residual %9.4f | %s\n",
                             r.scenario.c_str(),
                             system::processor_name(r.processor),
                             r.seed_stats.within_envelope, r.seed_stats.seeds,
-                            r.result.residual_rms,
-                            r.within_envelope ? "ok" : "outside");
+                            p.result.residual_rms,
+                            p.within_envelope ? "ok" : "outside");
             }
         }
         std::printf(
