@@ -5,23 +5,18 @@ Usage:
     compare_bench.py FRESH_JSON BASELINE_JSON [--max-regression 0.20]
     compare_bench.py FRESH_JSON BASELINE_JSON --update
 
-The JSON's "bench" key selects the schema (missing key => "fleet", the
-original schema):
+The JSON's "bench" key selects the schema (missing key => "perfbench" for
+a perfbench/run.py record, which carries a "workload" key instead, else
+"fleet", the original schema):
 
 fleet (bench/fleet_throughput, BENCH_fleet.json) — exits nonzero when:
 
   * scenarios_per_sec or epochs_per_sec drop more than --max-regression
     (default 20%) below the baseline, or
-  * multi_seed.shared_runs_per_sec, multi_seed.batched_runs_per_sec or
-    multi_seed.speedup drop more than --max-regression below the
-    baseline (the seed-axis sweep: the default runner's shared-trace,
-    SoA-batched throughput and its speedup over per-run synthesis), or
-  * any per-stage cost in per_stage_us rises more than --max-regression
-    above the baseline AND by more than an absolute slack of 0.1 us —
-    the slack keeps sub-microsecond stages from tripping on timer
-    noise, or
-  * feed_allocs_per_epoch rises above the baseline at all — the zero-
-    allocation steady state is pinned exactly.
+  * multi_seed.shared_runs_per_sec or multi_seed.speedup drop more than
+    --max-regression below the baseline (the seed-axis sweep: the default
+    runner's shared-trace, SoA-batched throughput and its speedup over
+    per-run synthesis).
 
 fault_campaign (bench/fault_campaign, BENCH_fault.json) — exits nonzero
 when:
@@ -48,12 +43,29 @@ serve (bench/fleet_serve, BENCH_serve.json) — exits nonzero when:
     job shape differ from the baseline at all (pinned: the bench
     config and wire contract, not the machine).
 
+perfbench (one record that perfbench/run.py saved under <build dir>/records/,
+against perfbench.baseline.json, which pins every (workload, seed)) —
+exits nonzero when:
+
+  * the run's output check failed (correct is false) or any operation
+    failed (failed > 0), or
+  * the output digest or any exact work counter (allocations, epochs,
+    realizations and trace builds per pass; bytes, frames and requests per
+    serve pass) differs from the baseline at all. No wall-clock value is
+    compared: these are functions of the code and the seed, so a changed
+    counter is a changed cost (one new heap allocation per epoch moves
+    allocations by thousands) and a changed digest is changed output.
+
+  A (workload, seed) the baseline does not pin is a data error (exit 2);
+  --update adds or replaces that one entry, keeping the others.
+
 An unknown "bench" schema name in either file is a hard error (exit 2)
 naming the known schemas — a typo'd or future schema must never be
 silently waved through.
 
 --update rewrites the baseline from the fresh run instead of comparing
-(use after an intentional perf change, and commit the result).
+(use after an intentional perf change, and commit the result). A perfbench
+run whose output check failed is never pinned.
 
 Exit codes: 0 ok, 1 regression, 2 malformed/incomplete bench JSON (e.g. a
 baseline missing a required key, or a fresh/baseline schema mismatch —
@@ -61,39 +73,28 @@ reported with a clear message, never a KeyError traceback).
 
 Throughput baselines are machine-specific: numbers measured on one box do
 not transfer to a different CPU. Refresh the baseline when the benchmark
-host changes. The fault-campaign outcome totals are the exception — they
-must reproduce everywhere.
+host changes. The fault-campaign outcome totals and the perfbench counters
+are the exception — they must reproduce everywhere; the perfbench digests
+too, on a libm with the same elementary-function rounding.
 """
 
 import argparse
 import json
+import os
 import shutil
 import sys
-
-STAGE_NOISE_SLACK_US = 0.1
 
 # Metrics each schema's gate is meaningless without. A baseline (or fresh
 # run) that lacks one of these is a data error — exit 2 with a pointed
 # message, never a silent skip or a KeyError traceback.
-FLEET_REQUIRED_KEYS = ("scenarios_per_sec", "epochs_per_sec", "per_stage_us",
-                       "feed_allocs_per_epoch", "multi_seed")
-
-# Stages of per_stage_us that the gate is meaningless without. Most stages
-# are discovered dynamically (new ones are reported, vanished ones error),
-# but these are load-bearing capabilities: sabre_step pins the predecoded
-# ISS dispatch cost so a regression back toward per-instruction decode is
-# caught.
-FLEET_REQUIRED_STAGE_KEYS = ("sabre_step",)
+FLEET_REQUIRED_KEYS = ("scenarios_per_sec", "epochs_per_sec", "multi_seed")
 
 # Sub-keys of the multi_seed section (the 8-seed shared-trace sweep;
 # "runs" are scenario realizations, scenario x tuning x seed); the shared
 # throughput and the shared-vs-per-run-synthesis speedup are gated like
-# the top-level throughput numbers. batched_runs_per_sec is the default
-# runner's SoA ensemble throughput on the same sweep (the shared figure,
-# under the name the committed baselines carry).
+# the top-level throughput numbers.
 FLEET_REQUIRED_MULTI_SEED_KEYS = ("shared_runs_per_sec",
-                                  "unshared_runs_per_sec", "speedup",
-                                  "batched_runs_per_sec")
+                                  "unshared_runs_per_sec", "speedup")
 
 FAULT_REQUIRED_KEYS = ("cells", "realizations", "cells_per_sec",
                        "epochs_per_sec", "outcomes",
@@ -116,6 +117,11 @@ SERVE_PHASE_KEYS = ("requests", "requests_per_sec", "p50_ms", "p95_ms",
 # gets more room — p99 of a 4-client phase is a handful of samples.
 SERVE_LATENCY_SLACK_MS = {"p50_ms": 20.0, "p95_ms": 50.0, "p99_ms": 100.0}
 
+PERFBENCH_RECORD_KEYS = ("workload", "seed", "correct", "failed", "digest",
+                         "counters")
+# What the baseline pins per (workload, seed): output and work, no time.
+PERFBENCH_PINNED_KEYS = ("digest", "counters")
+
 
 class BenchDataError(Exception):
     """Malformed or incomplete bench JSON (distinct from a regression)."""
@@ -132,15 +138,15 @@ def load(path):
 
 
 def schema_of(data):
-    return data.get("bench", "fleet")
+    if "bench" in data:
+        return data["bench"]
+    return "perfbench" if "workload" in data else "fleet"
 
 
 def missing_fleet_keys(data):
     missing = [k for k in FLEET_REQUIRED_KEYS if k not in data]
     missing += [f"multi_seed.{k}" for k in FLEET_REQUIRED_MULTI_SEED_KEYS
                 if k not in data.get("multi_seed", {})]
-    missing += [f"per_stage_us.{k}" for k in FLEET_REQUIRED_STAGE_KEYS
-                if k not in data.get("per_stage_us", {})]
     return missing
 
 
@@ -161,6 +167,17 @@ def missing_serve_keys(data):
     return missing
 
 
+def missing_perfbench_keys(data):
+    if "bench" not in data:  # a run record
+        return [k for k in PERFBENCH_RECORD_KEYS if k not in data]
+    if "workloads" not in data:
+        return ["workloads"]
+    return [f"workloads.{w}.{seed}.{k}"
+            for w, seeds in data["workloads"].items()
+            for seed, pins in seeds.items()
+            for k in PERFBENCH_PINNED_KEYS if k not in pins]
+
+
 def require_keys(data, role, path):
     schema = schema_of(data)
     spec = SCHEMAS.get(schema)
@@ -177,7 +194,7 @@ def require_keys(data, role, path):
             "compare_bench.py fresh baseline --update)")
 
 
-def check_fleet(fresh, base, fresh_path, tol, rows, failures):
+def check_fleet(fresh, base, tol, rows, failures):
     def check_throughput(key, b, f):
         delta = (f - b) / b if b else 0.0
         rows.append((key, b, f, delta, "higher-is-better"))
@@ -191,39 +208,9 @@ def check_fleet(fresh, base, fresh_path, tol, rows, failures):
     # The seed-axis sweep: shared-trace throughput, and the amortization
     # speedup itself so a regression back toward per-run synthesis cost is
     # caught even if absolute throughput moved with the host.
-    for key in ("shared_runs_per_sec", "speedup", "batched_runs_per_sec"):
+    for key in ("shared_runs_per_sec", "speedup"):
         check_throughput(f"multi_seed.{key}", base["multi_seed"][key],
                          fresh["multi_seed"][key])
-
-    base_stages = base["per_stage_us"]
-    fresh_stages = fresh["per_stage_us"]
-    for key in sorted(set(fresh_stages) - set(base_stages)):
-        print(f"note: stage '{key}' has no baseline yet (new stage?); "
-              f"not gated this run")
-    vanished = sorted(set(base_stages) - set(fresh_stages))
-    if vanished:
-        # A stage the baseline gates no longer exists in the bench output:
-        # either the bench schema drifted by accident, or the removal is
-        # intentional and the baseline must be refreshed first.
-        raise BenchDataError(
-            f"baseline stage(s) {vanished} missing from the fresh run "
-            f"{fresh_path}; if the stage was removed on purpose, refresh "
-            "the baseline with --update")
-    for key in sorted(set(base_stages) & set(fresh_stages)):
-        b, f = base_stages[key], fresh_stages[key]
-        delta = (f - b) / b if b else 0.0
-        rows.append((f"per_stage_us.{key}", b, f, delta, "lower-is-better"))
-        if f > max(b * (1.0 + tol), b + STAGE_NOISE_SLACK_US):
-            failures.append(
-                f"per_stage_us.{key}: {f:.3f} us is {delta:.0%} above "
-                f"baseline {b:.3f} us (allowed {tol:.0%})")
-
-    b = base["feed_allocs_per_epoch"]
-    f = fresh["feed_allocs_per_epoch"]
-    rows.append(("feed_allocs_per_epoch", b, f, 0.0, "pinned"))
-    if f > b + 1e-9:
-        failures.append(
-            f"feed_allocs_per_epoch: {f} exceeds pinned baseline {b}")
 
 
 def check_fault_campaign(fresh, base, tol, rows, failures):
@@ -298,21 +285,74 @@ def check_serve(fresh, base, tol, rows, failures):
                 "the baseline with --update)")
 
 
+def check_perfbench(fresh, base, _tol, rows, failures):
+    run = f"{fresh['workload']} seed {fresh['seed']}"
+    seeds = base["workloads"].get(fresh["workload"], {})
+    pins = seeds.get(str(fresh["seed"]))
+    if pins is None:
+        raise BenchDataError(
+            f"the baseline pins no run of {run}; pin one with --update")
+    if not fresh["correct"] or fresh["failed"] > 0:
+        failures.append(
+            f"{run}: correct is {str(fresh['correct']).lower()}, "
+            f"{fresh['failed']} operation(s) failed (the run's report says why)")
+    # Output digest and exact work counters: functions of the code and the
+    # seed, never of the machine, so any difference is a real change.
+    pinned = [("digest", pins["digest"], fresh["digest"])]
+    pinned += [(f"counters.{k}", pins["counters"].get(k),
+                fresh["counters"].get(k))
+               for k in sorted(set(pins["counters"]) | set(fresh["counters"]))]
+    for key, b, f in pinned:
+        rows.append((key, b, f, 0.0, "pinned"))
+        if f != b:
+            failures.append(
+                f"{key}: {f} differs from pinned baseline {b} (if the "
+                "change is intended, refresh the baseline with --update)")
+
+
+def update_perfbench(fresh, baseline_path):
+    """Pin the record's digest and counters, keeping every other entry."""
+    if not fresh["correct"] or fresh["failed"] > 0:
+        raise BenchDataError("refusing to pin a run that failed its check")
+    base = {"bench": "perfbench", "workloads": {}}
+    if os.path.exists(baseline_path):
+        base = load(baseline_path)
+        require_keys(base, "baseline", baseline_path)
+        if schema_of(base) != "perfbench":
+            raise BenchDataError(f"baseline {baseline_path} is not perfbench")
+    base["workloads"].setdefault(fresh["workload"], {})[str(fresh["seed"])] = {
+        k: fresh[k] for k in PERFBENCH_PINNED_KEYS}
+    # One line per workload, so a refresh diffs per workload.
+    lines = ",\n".join(
+        f"  {json.dumps(w)}: {json.dumps(seeds, sort_keys=True)}"
+        for w, seeds in sorted(base["workloads"].items()))
+    with open(baseline_path, "w", encoding="utf-8") as f:
+        f.write(f'{{"bench": "perfbench", "workloads": {{\n{lines}\n}}}}\n')
+
+
 # Registry dispatching the "bench" key to required-key validation and the
 # gate itself. Adding a bench schema = one bench binary, one baseline
 # file, one entry here (documented in docs/REPORTS.md).
 SCHEMAS = {
     "fleet": {
         "missing": missing_fleet_keys,
+        "check": check_fleet,
         "regen": "bench/fleet_throughput",
     },
     "fault_campaign": {
         "missing": missing_fault_keys,
+        "check": check_fault_campaign,
         "regen": "bench/fault_campaign",
     },
     "serve": {
         "missing": missing_serve_keys,
+        "check": check_serve,
         "regen": "bench/fleet_serve",
+    },
+    "perfbench": {
+        "missing": missing_perfbench_keys,
+        "check": check_perfbench,
+        "regen": "perfbench/run.py --workload W --seed S --seconds 15",
     },
 }
 
@@ -324,14 +364,19 @@ def main():
     ap.add_argument("--max-regression", type=float, default=0.20,
                     help="allowed fractional regression (default 0.20)")
     ap.add_argument("--update", action="store_true",
-                    help="overwrite the baseline with the fresh run")
+                    help="overwrite the baseline with the fresh run (a "
+                         "perfbench record: its workload and seed entry)")
     args = ap.parse_args()
 
     if args.update:
         # Never pin a malformed run: a truncated or key-missing fresh file
         # would otherwise get committed and break every subsequent gate.
-        require_keys(load(args.fresh), "fresh run", args.fresh)
-        shutil.copyfile(args.fresh, args.baseline)
+        fresh = load(args.fresh)
+        require_keys(fresh, "fresh run", args.fresh)
+        if schema_of(fresh) == "perfbench":
+            update_perfbench(fresh, args.baseline)
+        else:
+            shutil.copyfile(args.fresh, args.baseline)
         print(f"baseline updated: {args.baseline}")
         return 0
 
@@ -349,25 +394,25 @@ def main():
     rows = []
 
     schema = schema_of(fresh)
-    if schema == "fleet":
-        check_fleet(fresh, base, args.fresh, tol, rows, failures)
-    elif schema == "fault_campaign":
-        check_fault_campaign(fresh, base, tol, rows, failures)
-    else:
-        check_serve(fresh, base, tol, rows, failures)
+    SCHEMAS[schema]["check"](fresh, base, tol, rows, failures)
+
+    def cell(v):
+        return f"{v:>12.3f}" if isinstance(v, (int, float)) else f"{v!s:>12}"
 
     width = max(len(r[0]) for r in rows) if rows else 20
     print(f"{'metric':<{width}} {'baseline':>12} {'fresh':>12} {'delta':>8}")
     for name, b, f, delta, _ in rows:
-        print(f"{name:<{width}} {b:>12.3f} {f:>12.3f} {delta:>+8.1%}")
+        print(f"{name:<{width}} {cell(b)} {cell(f)} {delta:>+8.1%}")
 
     if failures:
         print("\nREGRESSION:", file=sys.stderr)
         for msg in failures:
             print(f"  - {msg}", file=sys.stderr)
         return 1
-    print(f"\nOK: no metric regressed more than {tol:.0%} "
-          f"(per-stage absolute slack {STAGE_NOISE_SLACK_US} us)")
+    if schema == "perfbench":
+        print("\nOK: output check passed; digest and counters match")
+    else:
+        print(f"\nOK: no metric regressed more than {tol:.0%}")
     return 0
 
 

@@ -1,12 +1,12 @@
 // Fleet-scale scenario sweep: every library scenario end to end through the
 // full-transport BoresightSystem, on the native EKF and on the Sabre
 // firmware, dispatched across a thread pool. Reports wall-clock throughput
-// (scenarios/sec, epochs/sec), a per-stage cost breakdown of the transport
-// hot path (uart_drain, can_advance, codec, fusion), a steady-state heap
-// allocation count, and the envelope verdict per run — and writes the whole
-// thing to BENCH_fleet.json so the perf trajectory of the fleet path is
-// machine-trackable (bench/compare_bench.py gates regressions against
-// bench/baselines/BENCH_fleet.baseline.json).
+// (scenarios/sec, epochs/sec), the Monte Carlo seed-axis sweep (shared vs
+// per-run trace synthesis) and the envelope verdict per run — and writes
+// the whole thing to BENCH_fleet.json so the perf trajectory of the fleet
+// path is machine-trackable (bench/compare_bench.py gates regressions
+// against bench/baselines/BENCH_fleet.baseline.json). Per-layer costs come
+// from perfbench's traced run (`perfbench/run.py --trace 1`).
 
 #include <algorithm>
 #include <chrono>
@@ -15,26 +15,11 @@
 #include <utility>
 #include <vector>
 
-#include "comm/bridge.hpp"
-#include "comm/can.hpp"
-#include "comm/codec.hpp"
-#include "comm/uart.hpp"
-#include "core/boresight_ekf.hpp"
-#include "core/ensemble_ekf.hpp"
-#include "math/rotation.hpp"
-#include "sim/ensemble_realizer.hpp"
 #include "sim/scenario_library.hpp"
-#include "sim/scenario_trace.hpp"
 #include "system/boresight_system.hpp"
-#include "system/ensemble_runner.hpp"
-#include "system/experiment.hpp"
 #include "system/fleet.hpp"
-#include "system/sabre_runner.hpp"
-#include "util/alloc_counter.hpp"
 #include "util/artifacts.hpp"
 #include "util/json.hpp"
-
-OB_DEFINE_COUNTING_OPERATOR_NEW
 
 namespace {
 
@@ -43,220 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Per-stage cost on the representative city drive: raw scenario synthesis
-/// (split into the once-per-scenario trace build and the per-seed
-/// realization), full transport feed (with a breakdown of its phases), the
-/// bare fusion update, and the steady-state allocation rate of `feed`.
-struct StageCosts {
-    double sim_epoch_us = 0.0;     ///< trace build + realization combined
-    double trace_build_us = 0.0;   ///< ScenarioTrace::build, amortizable
-    double synthesis_us = 0.0;     ///< per-seed realization over the trace
-    double transport_feed_us = 0.0;
-    double fusion_update_us = 0.0;
-    double sabre_step_us = 0.0;  ///< Sabre ISS fusion (push + pump) per epoch
-    // Breakdown of the transport feed, measured on a manually assembled
-    // chain mirroring BoresightSystem::feed stage by stage.
-    double encode_send_us = 0.0;  ///< codec encode + bus/uart enqueue
-    double can_advance_us = 0.0;  ///< bus timing + bridge + slip + uart send
-    double uart_drain_us = 0.0;   ///< ring-buffer drain of both links
-    double codec_us = 0.0;        ///< deframe + DMU pair + ADXL deserialize
-    double fusion_us = 0.0;       ///< EKF step on completed pairs
-    double feed_allocs_per_epoch = 0.0;  ///< steady-state heap allocations
-    std::size_t epochs = 0;
-};
-
-/// Time the phases of the transport chain separately. The chain is the
-/// same component graph BoresightSystem::feed drives; bytes are drained
-/// into a reusable scratch buffer so the drain and decode phases can be
-/// timed apart.
-void measure_transport_breakdown(StageCosts& out) {
-    const auto& spec = sim::ScenarioLibrary::instance().at("city-drive");
-    const std::uint64_t seed = sim::scenario_seed(spec.name, 7);
-    sim::Scenario sc(spec.build(60.0, spec.misalignment, seed), seed);
-    std::vector<sim::Scenario::Step> steps;
-    while (auto s = sc.next()) steps.push_back(*s);
-
-    comm::CanBus can;
-    comm::UartLink dmu_uart, acc_uart;
-    comm::CanSerialBridge bridge(dmu_uart);
-    comm::CanSerialDeframer deframer;
-    comm::DmuCodec dmu_codec;
-    comm::AdxlDeserializer acc_deser;
-    can.set_direct_delivery(
-        [](void* ctx, const comm::CanFrame& f, double t) {
-            static_cast<comm::CanSerialBridge*>(ctx)->forward(f, t);
-        },
-        &bridge);
-    core::BoresightConfig fcfg;
-    fcfg.meas_noise_mps2 = spec.meas_noise_mps2;
-    core::BoresightEkf ekf(fcfg);
-    const comm::DmuScale dmu_scale;
-    const comm::AdxlConfig adxl = sc.adxl_config();
-
-    comm::CanFrame gyro_frame, accel_frame;
-    std::array<std::uint8_t, comm::kAdxlPacketSize> acc_packet{};
-    std::vector<comm::UartByte> scratch_bytes;
-    scratch_bytes.reserve(256);
-    std::optional<comm::DmuSample> pending_dmu;
-    std::optional<comm::AdxlTiming> pending_acc;
-
-    double t_encode = 0.0, t_advance = 0.0, t_drain = 0.0, t_codec = 0.0,
-           t_fusion = 0.0;
-    for (const auto& step : steps) {
-        const double t = step.t;
-        const double horizon = t + 0.5 / sc.sample_rate_hz();
-
-        auto t0 = Clock::now();
-        comm::DmuCodec::encode_into(step.dmu, gyro_frame, accel_frame);
-        can.send(gyro_frame, t);
-        can.send(accel_frame, t);
-        comm::adxl_serialize_into(step.adxl, acc_packet);
-        acc_uart.send(acc_packet, t);
-        auto t1 = Clock::now();
-        can.advance_to(horizon);
-        auto t2 = Clock::now();
-        scratch_bytes.clear();
-        const std::size_t dmu_end = [&] {
-            dmu_uart.drain_until(horizon, [&](const comm::UartByte& b) {
-                scratch_bytes.push_back(b);
-            });
-            return scratch_bytes.size();
-        }();
-        acc_uart.drain_until(horizon, [&](const comm::UartByte& b) {
-            scratch_bytes.push_back(b);
-        });
-        auto t3 = Clock::now();
-        for (std::size_t i = 0; i < dmu_end; ++i) {
-            if (auto frame = deframer.feed(scratch_bytes[i])) {
-                if (auto sample = dmu_codec.feed(*frame, scratch_bytes[i].t))
-                    pending_dmu = sample;
-            }
-        }
-        for (std::size_t i = dmu_end; i < scratch_bytes.size(); ++i) {
-            if (scratch_bytes[i].framing_error) continue;
-            if (auto timing =
-                    acc_deser.feed(scratch_bytes[i].value, scratch_bytes[i].t)) {
-                if (comm::adxl_plausible(*timing, adxl)) pending_acc = timing;
-            }
-        }
-        auto t4 = Clock::now();
-        if (pending_dmu && pending_acc) {
-            math::Vec3 f_body;
-            for (std::size_t i = 0; i < 3; ++i)
-                f_body[i] = dmu_scale.raw_to_accel(pending_dmu->accel[i]);
-            const auto [ax, ay] = comm::adxl_decode(*pending_acc, adxl);
-            (void)ekf.step(f_body, math::Vec2{ax, ay});
-            pending_dmu.reset();
-            pending_acc.reset();
-        }
-        auto t5 = Clock::now();
-
-        t_encode += std::chrono::duration<double>(t1 - t0).count();
-        t_advance += std::chrono::duration<double>(t2 - t1).count();
-        t_drain += std::chrono::duration<double>(t3 - t2).count();
-        t_codec += std::chrono::duration<double>(t4 - t3).count();
-        t_fusion += std::chrono::duration<double>(t5 - t4).count();
-    }
-    const auto n = static_cast<double>(steps.size());
-    out.encode_send_us = 1e6 * t_encode / n;
-    out.can_advance_us = 1e6 * t_advance / n;
-    out.uart_drain_us = 1e6 * t_drain / n;
-    out.codec_us = 1e6 * t_codec / n;
-    out.fusion_us = 1e6 * t_fusion / n;
-}
-
-StageCosts measure_stages() {
-    StageCosts out;
-    const auto& spec = sim::ScenarioLibrary::instance().at("city-drive");
-    const std::uint64_t seed = sim::scenario_seed(spec.name, 7);
-
-    {  // scenario synthesis alone (trace build + realization combined, the
-       // historical one-shot cost; the profile is prebuilt as before)
-        const auto scfg = spec.build(60.0, spec.misalignment, seed);
-        const auto t0 = Clock::now();
-        sim::Scenario sc(scfg, seed);
-        while (auto s = sc.next()) ++out.epochs;
-        out.sim_epoch_us =
-            1e6 * seconds_since(t0) / static_cast<double>(out.epochs);
-    }
-    {  // the Plan/Trace/Realize split of the same synthesis; the trace
-       // phase includes the drive-profile integration spec.build runs,
-       // since the runner amortizes that per trace too
-        const auto t0 = Clock::now();
-        const auto trace = sim::ScenarioTrace::build(
-            spec.build(60.0, spec.misalignment, seed), seed);
-        out.trace_build_us = 1e6 * seconds_since(t0) /
-                             static_cast<double>(trace->epochs());
-        const auto t1 = Clock::now();
-        sim::Scenario sc(trace, spec.misalignment, seed);
-        std::size_t epochs = 0;
-        double t = 0.0;
-        comm::DmuSample dmu;
-        comm::AdxlTiming adxl;
-        while (sc.next_wire(t, dmu, adxl)) ++epochs;
-        out.synthesis_us =
-            1e6 * seconds_since(t1) / static_cast<double>(epochs);
-    }
-    {  // transport + fusion via the full system, plus steady-state allocs
-        sim::Scenario sc(spec.build(60.0, spec.misalignment, seed), seed);
-        system::BoresightSystem::Config cfg;
-        cfg.filter.meas_noise_mps2 = spec.meas_noise_mps2;
-        system::BoresightSystem sys(cfg);
-        std::vector<sim::Scenario::Step> steps;
-        while (auto s = sc.next()) steps.push_back(*s);
-        // Warm-up: let every ring buffer and scratch vector reach its
-        // high-water capacity before counting.
-        const std::size_t warmup = std::min<std::size_t>(200, steps.size());
-        for (std::size_t i = 0; i < warmup; ++i) sys.feed(sc, steps[i]);
-        const std::uint64_t allocs0 = util::alloc_count();
-        const auto t0 = Clock::now();
-        for (std::size_t i = warmup; i < steps.size(); ++i)
-            sys.feed(sc, steps[i]);
-        const double elapsed = seconds_since(t0);
-        const auto counted = static_cast<double>(steps.size() - warmup);
-        out.transport_feed_us = 1e6 * elapsed / counted;
-        out.feed_allocs_per_epoch =
-            static_cast<double>(util::alloc_count() - allocs0) / counted;
-    }
-    {  // the same epochs through the Sabre ISS: wire-format push + pumping
-       // the core until the firmware has folded each pair in — the cost a
-       // fleet sabre run pays on top of transport
-        sim::Scenario sc(spec.build(60.0, spec.misalignment, seed), seed);
-        system::SabreFusionSystem::Config scfg;
-        scfg.r_sigma = spec.meas_noise_mps2;
-        scfg.q_variance = spec.angle_process_noise * spec.angle_process_noise;
-        system::SabreFusionSystem sys(scfg);
-        std::vector<sim::Scenario::Step> steps;
-        while (auto s = sc.next()) steps.push_back(*s);
-        const std::size_t warmup = std::min<std::size_t>(200, steps.size());
-        for (std::size_t i = 0; i < warmup; ++i) {
-            sys.push(steps[i].dmu, steps[i].adxl);
-            (void)sys.run_pending();
-        }
-        const auto t0 = Clock::now();
-        for (std::size_t i = warmup; i < steps.size(); ++i) {
-            sys.push(steps[i].dmu, steps[i].adxl);
-            (void)sys.run_pending();
-        }
-        out.sabre_step_us = 1e6 * seconds_since(t0) /
-                            static_cast<double>(steps.size() - warmup);
-    }
-    {  // bare fusion update on decoded measurements
-        sim::Scenario sc(spec.build(60.0, spec.misalignment, seed), seed);
-        core::BoresightConfig fcfg;
-        fcfg.meas_noise_mps2 = spec.meas_noise_mps2;
-        core::BoresightEkf ekf(fcfg);
-        std::vector<system::DecodedMeasurement> ms;
-        while (auto s = sc.next()) ms.push_back(system::decode_step(sc, *s));
-        const auto t0 = Clock::now();
-        for (const auto& m : ms) (void)ekf.step(m.f_body, m.acc_xy);
-        out.fusion_update_us =
-            1e6 * seconds_since(t0) / static_cast<double>(ms.size());
-    }
-    measure_transport_breakdown(out);
-    return out;
 }
 
 /// The Monte Carlo seed axis under both trace-cost models: 8 instrument
@@ -338,80 +109,6 @@ MultiSeedSweep measure_multi_seed(const system::FleetRunner& runner) {
     return out;
 }
 
-/// Per-stage cost of one batched lane-epoch, on the bench shape (8 lanes
-/// of the city drive). `realize` and `fusion` are measured directly —
-/// the SoA sampling loop alone, and the lane-array EKF on prebuilt decoded
-/// measurements — while `transport` is derived as full − realize − fusion,
-/// since the analytic transport emulation is interleaved with both in
-/// EnsembleNominalSystem::feed and cannot be timed in isolation without
-/// perturbing the cache behaviour being measured.
-struct BatchedStages {
-    double realize_us = 0.0;    ///< SoA instrument sampling, per lane-epoch
-    double transport_us = 0.0;  ///< analytic CAN/UART emulation (derived)
-    double fusion_us = 0.0;     ///< lane-array EKF step, per lane-update
-    double full_us = 0.0;       ///< whole batched epoch, per lane-epoch
-    std::size_t lanes = 0;
-};
-
-BatchedStages measure_batched_stages() {
-    BatchedStages out;
-    const auto& spec = sim::ScenarioLibrary::instance().at("city-drive");
-    const std::uint64_t stream = sim::scenario_seed(spec.name, 7);
-    const auto trace = sim::ScenarioTrace::build(
-        spec.build(60.0, spec.misalignment, stream), stream);
-    constexpr std::size_t kLanes = 8;
-    out.lanes = kLanes;
-    std::vector<std::uint64_t> seeds(kLanes);
-    for (std::size_t l = 0; l < kLanes; ++l)
-        seeds[l] = system::fleet_sub_seed(stream, l);
-    const double lane_epochs =
-        static_cast<double>(trace->epochs()) * static_cast<double>(kLanes);
-
-    {  // SoA realization alone
-        sim::EnsembleRealizer ens(trace, spec.misalignment, seeds);
-        double t = 0.0;
-        const auto t0 = Clock::now();
-        while (ens.step(t)) {
-        }
-        out.realize_us = 1e6 * seconds_since(t0) / lane_epochs;
-    }
-    {  // the full batched epoch: realization + transport + fusion
-        sim::EnsembleRealizer ens(trace, spec.misalignment, seeds);
-        system::BoresightSystem::Config cfg;
-        cfg.filter.meas_noise_mps2 = spec.meas_noise_mps2;
-        system::EnsembleNominalSystem sys(cfg, kLanes);
-        double t = 0.0;
-        const auto t0 = Clock::now();
-        while (ens.step(t)) sys.feed(ens.trace(), t, ens.dmu(), ens.adxl());
-        out.full_us = 1e6 * seconds_since(t0) / lane_epochs;
-    }
-    {  // lane-array EKF on decoded measurements (same stream every lane —
-       // the filter arithmetic does not branch on the values)
-        sim::Scenario sc(trace, spec.misalignment, seeds[0]);
-        std::vector<system::DecodedMeasurement> ms;
-        while (auto s = sc.next()) ms.push_back(system::decode_step(sc, *s));
-        core::BoresightConfig fcfg;
-        fcfg.meas_noise_mps2 = spec.meas_noise_mps2;
-        core::EnsembleEkf ekf(fcfg, kLanes);
-        math::Vec3 f_body[kLanes];
-        math::Vec2 z[kLanes];
-        core::BoresightEkf::Update up[kLanes];
-        const auto t0 = Clock::now();
-        for (const auto& m : ms) {
-            for (std::size_t l = 0; l < kLanes; ++l) {
-                f_body[l] = m.f_body;
-                z[l] = m.acc_xy;
-            }
-            ekf.step_all(f_body, z, up);
-        }
-        out.fusion_us =
-            1e6 * seconds_since(t0) /
-            (static_cast<double>(ms.size()) * static_cast<double>(kLanes));
-    }
-    out.transport_us = out.full_us - out.realize_us - out.fusion_us;
-    return out;
-}
-
 }  // namespace
 
 int main() {
@@ -446,37 +143,18 @@ int main() {
                     p.within_envelope ? "ok" : "OUTSIDE ENVELOPE");
     }
 
-    const auto stages = measure_stages();
-    const auto batched = measure_batched_stages();
     const auto multi_seed = measure_multi_seed(runner);
     const double scen_per_s = static_cast<double>(results.size()) / elapsed;
     std::printf("\n%zu scenario runs in %.2f s: %.2f scenarios/s, "
                 "%.0f epochs/s\n",
                 results.size(), elapsed, scen_per_s,
                 static_cast<double>(total_epochs) / elapsed);
-    std::printf("per-stage cost (city drive): sim %.2f us/epoch "
-                "(trace build %.2f + realization %.2f), "
-                "transport+fusion %.2f us/epoch, bare EKF %.2f us/update, "
-                "sabre step %.2f us/epoch\n",
-                stages.sim_epoch_us, stages.trace_build_us,
-                stages.synthesis_us, stages.transport_feed_us,
-                stages.fusion_update_us, stages.sabre_step_us);
     std::printf("multi-seed sweep (%zu scenarios x %zu tunings x %zu seeds): "
                 "shared trace %.2f runs/s, per-run synthesis %.2f runs/s "
                 "-> %.2fx\n",
                 multi_seed.scenarios, multi_seed.variants,
                 multi_seed.seeds_per_job, multi_seed.shared_runs_per_sec(),
                 multi_seed.unshared_runs_per_sec(), multi_seed.speedup());
-    std::printf("ensemble batching: per lane-epoch %.2f us "
-                "(realize %.2f + transport %.2f + fusion %.2f, %zu lanes)\n",
-                batched.full_us, batched.realize_us, batched.transport_us,
-                batched.fusion_us, batched.lanes);
-    std::printf("transport breakdown: encode+send %.2f, can_advance %.2f, "
-                "uart_drain %.2f, codec %.2f, fusion %.2f us/epoch; "
-                "steady-state allocs/epoch %.3f\n",
-                stages.encode_send_us, stages.can_advance_us,
-                stages.uart_drain_us, stages.codec_us, stages.fusion_us,
-                stages.feed_allocs_per_epoch);
 
     util::JsonWriter w;
     w.begin_object();
@@ -487,20 +165,6 @@ int main() {
     w.key("elapsed_s").value(elapsed);
     w.key("scenarios_per_sec").value(scen_per_s);
     w.key("epochs_per_sec").value(static_cast<double>(total_epochs) / elapsed);
-    w.key("per_stage_us").begin_object();
-    w.key("sim_epoch").value(stages.sim_epoch_us);
-    w.key("trace_build").value(stages.trace_build_us);
-    w.key("synthesis").value(stages.synthesis_us);
-    w.key("transport_feed").value(stages.transport_feed_us);
-    w.key("fusion_update").value(stages.fusion_update_us);
-    w.key("sabre_step").value(stages.sabre_step_us);
-    w.key("uart_drain").value(stages.uart_drain_us);
-    w.key("can_advance").value(stages.can_advance_us);
-    w.key("codec").value(stages.codec_us);
-    w.key("fusion").value(stages.fusion_us);
-    w.key("encode_send").value(stages.encode_send_us);
-    w.end_object();
-    w.key("feed_allocs_per_epoch").value(stages.feed_allocs_per_epoch);
     w.key("multi_seed").begin_object();
     w.key("scenarios").value(multi_seed.scenarios);
     w.key("variants").value(multi_seed.variants);
@@ -513,17 +177,6 @@ int main() {
     w.key("shared_runs_per_sec").value(multi_seed.shared_runs_per_sec());
     w.key("unshared_runs_per_sec").value(multi_seed.unshared_runs_per_sec());
     w.key("speedup").value(multi_seed.speedup());
-    // The default runner batches the shared sweep's seeds in SoA lanes, so
-    // its throughput is the batched figure; the per-stage lane-epoch cost
-    // follows (transport is derived: full - realize - fusion).
-    w.key("batched_runs_per_sec").value(multi_seed.shared_runs_per_sec());
-    w.key("batched_stage_us").begin_object();
-    w.key("realize").value(batched.realize_us);
-    w.key("transport").value(batched.transport_us);
-    w.key("fusion").value(batched.fusion_us);
-    w.key("full").value(batched.full_us);
-    w.end_object();
-    w.key("batched_lanes").value(batched.lanes);
     w.end_object();
     w.key("runs").begin_array();
     for (const auto& r : results) {

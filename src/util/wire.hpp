@@ -30,7 +30,10 @@ public:
     void boolean(bool v) { u8(v ? 1 : 0); }
 
     /// Raw bytes, no length prefix (fixed-size fields).
+    /// A zero-length write is a no-op (an empty payload's data() may be null,
+    /// which memcpy must never see).
     void bytes(const void* data, std::size_t n) {
+        if (n == 0) return;
         const std::size_t at = buf_.size();
         buf_.resize(at + n);
         std::memcpy(buf_.data() + at, data, n);
@@ -101,6 +104,7 @@ public:
     [[nodiscard]] std::string fixed_str(std::size_t width);
 
     void read_bytes(void* out, std::size_t n) {
+        if (n == 0) return;
         std::memcpy(out, take(n), n);
     }
 

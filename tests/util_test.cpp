@@ -10,6 +10,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time_series.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -223,6 +224,24 @@ TEST(AsciiPlot, FixedRangeClipsOutliers) {
     plot.set_y_range(0.0, 1.0);
     plot.add_series("clipped", ys, 'x');
     EXPECT_FALSE(plot.render().empty());
+}
+
+// An empty payload's data() may be null; writing or reading zero bytes
+// through it must be a no-op, never a memcpy of a null pointer.
+TEST(Wire, ZeroLengthBytesThroughNullPointer) {
+    ByteWriter w;
+    w.u8(7);
+    w.bytes(nullptr, 0);
+    ASSERT_EQ(w.size(), 1u);
+    ByteReader r(w.data().data(), w.size());
+    r.read_bytes(nullptr, 0);
+    EXPECT_EQ(r.u8(), 7);
+    r.read_bytes(nullptr, 0);
+    r.expect_end();
+
+    ByteReader empty(nullptr, 0);
+    empty.read_bytes(nullptr, 0);
+    empty.expect_end();
 }
 
 }  // namespace
