@@ -55,6 +55,22 @@ void BM_NativeEkfUpdateNumericJacobian(benchmark::State& state) {
 }
 BENCHMARK(BM_NativeEkfUpdateNumericJacobian);
 
+/// The 5-state filter (angles plus two ACC biases); the cases above step
+/// the 3-state one.
+void BM_NativeEkfUpdateWithBias(benchmark::State& state) {
+    core::BoresightConfig cfg;
+    cfg.estimate_bias = true;
+    core::BoresightEkf ekf(cfg);
+    int k = 0;
+    for (auto _ : state) {
+        const Vec3 f = excitation(k);
+        benchmark::DoNotOptimize(ekf.step(f, Vec2{f[0], f[1]}));
+        ++k;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NativeEkfUpdateWithBias);
+
 /// The ~150 softfloat operations one firmware Kalman update performs,
 /// executed directly (no ISS) — isolates the IEEE-emulation cost.
 void BM_SoftfloatKalmanArithmetic(benchmark::State& state) {

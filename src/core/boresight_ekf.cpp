@@ -9,38 +9,31 @@ using math::Vec3;
 
 namespace {
 
-[[nodiscard]] Mat<5, 5> initial_covariance(const BoresightConfig& cfg) {
-    Mat<5, 5> p;
-    for (std::size_t i = 0; i < 3; ++i)
-        p(i, i) = cfg.init_angle_sigma * cfg.init_angle_sigma;
-    const double bs = cfg.estimate_bias ? cfg.init_bias_sigma : 0.0;
-    for (std::size_t i = 3; i < 5; ++i) p(i, i) = bs * bs;
-    return p;
-}
-
-[[nodiscard]] Mat<5, 5> process_noise(const BoresightConfig& cfg) {
-    Mat<5, 5> q;
-    for (std::size_t i = 0; i < 3; ++i)
-        q(i, i) = cfg.angle_process_noise * cfg.angle_process_noise;
-    const double bq = cfg.estimate_bias ? cfg.bias_process_noise : 0.0;
-    for (std::size_t i = 3; i < 5; ++i) q(i, i) = bq * bq;
-    return q;
+/// N×N diagonal: `angle` on the three angle states, `bias` on the rest.
+template <std::size_t N>
+[[nodiscard]] Mat<N, N> diagonal(double angle, double bias) {
+    Mat<N, N> m;
+    for (std::size_t i = 0; i < N; ++i) m(i, i) = i < 3 ? angle : bias;
+    return m;
 }
 
 }  // namespace
 
+template <std::size_t N>
+BoresightEkf::Filter<N>::Filter(const BoresightConfig& cfg)
+    : ekf(math::Vec<N>{},
+          diagonal<N>(cfg.init_angle_sigma * cfg.init_angle_sigma,
+                      cfg.init_bias_sigma * cfg.init_bias_sigma)),
+      q(diagonal<N>(cfg.angle_process_noise * cfg.angle_process_noise,
+                    cfg.bias_process_noise * cfg.bias_process_noise)) {}
+
 BoresightEkf::BoresightEkf(const BoresightConfig& cfg)
     : cfg_(cfg),
       meas_sigma_(cfg.meas_noise_mps2),
-      ekf_(math::Vec<5>{}, initial_covariance(cfg)),
-      q_(process_noise(cfg)) {}
+      filter_(cfg.estimate_bias ? Filters{std::in_place_type<Filter<5>>, cfg}
+                                : Filters{std::in_place_type<Filter<3>>, cfg}) {}
 
-void BoresightEkf::reset() {
-    ekf_.set_state(math::Vec<5>{});
-    ekf_.set_covariance(initial_covariance(cfg_));
-    meas_sigma_ = cfg_.meas_noise_mps2;
-    updates_ = 0;
-}
+void BoresightEkf::reset() { *this = BoresightEkf(cfg_); }
 
 Vec2 BoresightEkf::predict_measurement(const Vec3& rho_euler, const Vec2& bias,
                                        const Vec3& f_body) {
@@ -50,20 +43,46 @@ Vec2 BoresightEkf::predict_measurement(const Vec3& rho_euler, const Vec2& bias,
     return Vec2{f_sensor[0] + bias[0], f_sensor[1] + bias[1]};
 }
 
-Mat<2, 5> BoresightEkf::jacobian(const Vec3& f_body,
-                                 const Vec3& f_rotated) const {
-    Mat<2, 5> h;
-    const auto& x = ekf_.state();
-    const Vec3 rho{x[0], x[1], x[2]};
-    const Vec2 b{x[3], x[4]};
+BoresightEkf::Update BoresightEkf::step_with_rates(const Vec3& f_body,
+                                                   const Vec3& omega,
+                                                   const Vec3& omega_dot,
+                                                   const Vec2& f_sensor_xy) {
+    const Vec3 lever = math::cross(omega_dot, cfg_.lever_arm) +
+                       math::cross(omega, math::cross(omega, cfg_.lever_arm));
+    return step(f_body + lever, f_sensor_xy);
+}
 
+BoresightEkf::Update BoresightEkf::step(const Vec3& f_body,
+                                        const Vec2& f_sensor_xy) {
+    return std::visit(
+        [&](auto& f) { return step_filter(f, f_body, f_sensor_xy); }, filter_);
+}
+
+template <std::size_t N>
+BoresightEkf::Update BoresightEkf::step_filter(Filter<N>& f,
+                                               const Vec3& f_body,
+                                               const Vec2& f_sensor_xy) {
+    f.ekf.predict_static(f.q);
+
+    const auto& x = f.ekf.state();
+    const Vec3 rho{x[0], x[1], x[2]};
+    Vec2 b{};  // no bias states: b stays +0
+    if constexpr (N == 5) b = Vec2{x[3], x[4]};
+
+    // One DCM evaluation serves both the predicted measurement and the
+    // analytic Jacobian — same input bits, same result bits as computing
+    // it twice (predict_measurement stays the reference model).
+    const math::Mat3 c = math::dcm_from_euler(EulerAngles::from_vec(rho));
+    const Vec3 f_rotated = c * f_body;
+    const Vec2 z_pred{f_rotated[0] + b[0], f_rotated[1] + b[1]};
+
+    Mat<2, N> h;
     if (cfg_.jacobian == JacobianMode::kAnalyticSmallAngle) {
         // Perturb the estimated rotation by a small rotation vector δ in
         // the sensor frame: C(ρ⊕δ) ≈ (I - [δ×]) C(ρ), so
         //   h(ρ⊕δ) ≈ h(ρ) + rows_xy(skew(C·f_b)) δ.
         // For misalignments of a few degrees the Euler-angle state and the
-        // rotation-vector perturbation agree to first order. The caller
-        // passes C·f_b, already computed for the predicted measurement.
+        // rotation-vector perturbation agree to first order.
         const math::Mat3 sk = math::skew(f_rotated);
         for (std::size_t r = 0; r < 2; ++r)
             for (std::size_t ccol = 0; ccol < 3; ++ccol) h(r, ccol) = sk(r, ccol);
@@ -80,40 +99,16 @@ Mat<2, 5> BoresightEkf::jacobian(const Vec3& f_body,
                 h(r, j) = (dhi[r] - dlo[r]) / (2.0 * kStep);
         }
     }
-    // Bias columns: identity into the matching measurement axis.
-    h(0, 3) = 1.0;
-    h(1, 4) = 1.0;
-    return h;
-}
-
-BoresightEkf::Update BoresightEkf::step_with_rates(const Vec3& f_body,
-                                                   const Vec3& omega,
-                                                   const Vec3& omega_dot,
-                                                   const Vec2& f_sensor_xy) {
-    const Vec3 lever = math::cross(omega_dot, cfg_.lever_arm) +
-                       math::cross(omega, math::cross(omega, cfg_.lever_arm));
-    return step(f_body + lever, f_sensor_xy);
-}
-
-BoresightEkf::Update BoresightEkf::step(const Vec3& f_body,
-                                        const Vec2& f_sensor_xy) {
-    ekf_.predict_static(q_);
-
-    // One DCM evaluation serves both the predicted measurement and the
-    // analytic Jacobian — same input bits, same result bits as computing
-    // it twice (predict_measurement stays the reference model).
-    const auto& x = ekf_.state();
-    const math::Mat3 c = math::dcm_from_euler(
-        EulerAngles::from_vec(Vec3{x[0], x[1], x[2]}));
-    const Vec3 f_rotated = c * f_body;
-    const Vec2 z_pred{f_rotated[0] + x[3], f_rotated[1] + x[4]};
-    const Mat<2, 5> h = jacobian(f_body, f_rotated);
+    if constexpr (N == 5) {
+        // Bias columns: identity into the matching measurement axis.
+        h(0, 3) = 1.0;
+        h(1, 4) = 1.0;
+    }
     Mat<2, 2> r;
     r(0, 0) = meas_sigma_ * meas_sigma_;
     r(1, 1) = meas_sigma_ * meas_sigma_;
 
-    const auto res =
-        ekf_.update(f_sensor_xy, z_pred, h, r, cfg_.nis_gate);
+    const auto res = f.ekf.update(f_sensor_xy, z_pred, h, r, cfg_.nis_gate);
     if (res.accepted) ++updates_;
 
     Update out;
@@ -125,21 +120,31 @@ BoresightEkf::Update BoresightEkf::step(const Vec3& f_body,
 }
 
 EulerAngles BoresightEkf::misalignment() const {
-    const auto& x = ekf_.state();
-    return EulerAngles{x[0], x[1], x[2]};
+    return std::visit(
+        [](const auto& f) {
+            const auto& x = f.ekf.state();
+            return EulerAngles{x[0], x[1], x[2]};
+        },
+        filter_);
 }
 
 Vec3 BoresightEkf::misalignment_sigma3() const {
-    return Vec3{3.0 * ekf_.sigma(0), 3.0 * ekf_.sigma(1), 3.0 * ekf_.sigma(2)};
+    return std::visit(
+        [](const auto& f) {
+            return Vec3{3.0 * f.ekf.sigma(0), 3.0 * f.ekf.sigma(1),
+                        3.0 * f.ekf.sigma(2)};
+        },
+        filter_);
 }
 
 Vec2 BoresightEkf::bias() const {
-    const auto& x = ekf_.state();
-    return Vec2{x[3], x[4]};
+    const auto* f = std::get_if<Filter<5>>(&filter_);
+    return f ? Vec2{f->ekf.state()[3], f->ekf.state()[4]} : Vec2{};
 }
 
 Vec2 BoresightEkf::bias_sigma3() const {
-    return Vec2{3.0 * ekf_.sigma(3), 3.0 * ekf_.sigma(4)};
+    const auto* f = std::get_if<Filter<5>>(&filter_);
+    return f ? Vec2{3.0 * f->ekf.sigma(3), 3.0 * f->ekf.sigma(4)} : Vec2{};
 }
 
 void BoresightEkf::set_measurement_noise(double sigma_mps2) {
@@ -152,9 +157,13 @@ void BoresightEkf::grow_angle_covariance(double angle_variance) {
     if (angle_variance < 0.0)
         throw std::invalid_argument("coast variance must be non-negative");
     if (angle_variance == 0.0) return;
-    Mat<5, 5> p = ekf_.covariance();
-    for (std::size_t i = 0; i < 3; ++i) p(i, i) += angle_variance;
-    ekf_.set_covariance(p);
+    std::visit(
+        [angle_variance](auto& f) {
+            auto p = f.ekf.covariance();
+            for (std::size_t i = 0; i < 3; ++i) p(i, i) += angle_variance;
+            f.ekf.set_covariance(p);
+        },
+        filter_);
 }
 
 }  // namespace ob::core

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <variant>
+
 #include "core/kalman.hpp"
 #include "math/matrix.hpp"
 #include "math/rotation.hpp"
@@ -45,10 +47,11 @@ struct BoresightConfig {
 /// (ACC) relative to the vehicle-fixed IMU, by comparing the specific
 /// force both feel.
 ///
-/// State: [roll, pitch, yaw, bias_x', bias_y'] — misalignment Euler angles
-/// (3-2-1) of the sensor frame w.r.t. the body frame, plus optional ACC
-/// biases. Measurement: the ACC's x',y' specific-force components.
-/// Model: z = (C_s←b(ρ) · f_b)_{x,y} + b + v.
+/// State: [roll, pitch, yaw] — misalignment Euler angles (3-2-1) of the
+/// sensor frame w.r.t. the body frame — plus [bias_x', bias_y'] only when
+/// `estimate_bias` is set. Measurement: the ACC's x',y' specific-force
+/// components. Model: z = (C_s←b(ρ) · f_b)_{x,y} + b + v, with b = 0 in
+/// the 3-state filter.
 ///
 /// Observability mirrors §11 of the paper: with gravity as the only
 /// excitation (level static test) yaw is unobservable; tilting the platform
@@ -105,11 +108,6 @@ public:
     /// Number of accepted measurement updates so far.
     [[nodiscard]] std::size_t updates() const { return updates_; }
 
-    /// Full state covariance (5x5), for tests and advanced diagnostics.
-    [[nodiscard]] const math::Mat<5, 5>& covariance() const {
-        return ekf_.covariance();
-    }
-
     /// Reset to priors, keeping the configuration.
     void reset();
 
@@ -120,15 +118,25 @@ public:
         const math::Vec3& f_body);
 
 private:
-    /// `f_rotated` = C(ρ̂)·f_body, shared with the predicted-measurement
-    /// computation (only the analytic mode consumes it).
-    [[nodiscard]] math::Mat<2, 5> jacobian(const math::Vec3& f_body,
-                                           const math::Vec3& f_rotated) const;
+    /// One filter size: the Kalman kernel and its process noise, constant
+    /// per configuration.
+    template <std::size_t N>
+    struct Filter {
+        explicit Filter(const BoresightConfig& cfg);
+        Ekf<N, 2> ekf;
+        math::Mat<N, N> q;
+    };
+    /// Five states only with `estimate_bias`: otherwise the bias states
+    /// would hold exactly zero covariance and noise, and change no bit.
+    using Filters = std::variant<Filter<3>, Filter<5>>;
+
+    template <std::size_t N>
+    Update step_filter(Filter<N>& f, const math::Vec3& f_body,
+                       const math::Vec2& f_sensor_xy);
 
     BoresightConfig cfg_;
     double meas_sigma_;
-    Ekf<5, 2> ekf_;
-    math::Mat<5, 5> q_;  ///< process noise, constant per configuration
+    Filters filter_;
     std::size_t updates_ = 0;
 };
 

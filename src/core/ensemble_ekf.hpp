@@ -20,8 +20,9 @@ namespace ob::core {
 /// seam a future transposed (state-major SoA) kernel would slot into.
 /// The lane arithmetic itself deliberately reuses the scalar BoresightEkf:
 /// every update runs one `dcm_from_euler` (six libm trig calls) and a
-/// Joseph-form covariance update whose FP operation order the scalar path
-/// pins, so per-lane results are bit-identical to N independent filters by
+/// Joseph-form covariance update — 3×3 with biases off, 5×5 with
+/// `estimate_bias` — whose FP operation order the scalar path pins, so
+/// per-lane results are bit-identical to N independent filters by
 /// construction — the determinism invariant the golden corpus and the
 /// ensemble differential test enforce ("batched ≡ scalar per lane").
 /// Cross-lane SIMD over the libm calls would break that invariant, which

@@ -83,13 +83,16 @@ public:
     [[nodiscard]] friend constexpr Mat operator*(T s, Mat a) { return a *= s; }
     [[nodiscard]] friend constexpr Mat operator-(const Mat& a) { return a * T{-1}; }
 
+    /// Branch-free: each entry sums all its terms in k order from +0. A
+    /// zero factor times a finite one adds ±0, which leaves the sum's bits
+    /// alone (a sum from +0 never rounds to −0); 0·inf and 0·NaN give NaN,
+    /// as IEEE 754 requires.
     template <std::size_t C2>
     [[nodiscard]] constexpr Mat<R, C2, T> operator*(const Mat<C, C2, T>& b) const {
         Mat<R, C2, T> out;
         for (std::size_t i = 0; i < R; ++i) {
             for (std::size_t k = 0; k < C; ++k) {
                 const T aik = (*this)(i, k);
-                if (aik == T{}) continue;
                 for (std::size_t j = 0; j < C2; ++j) out(i, j) += aik * b(k, j);
             }
         }

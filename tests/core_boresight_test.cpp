@@ -1,10 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/batch_aligner.hpp"
 #include "core/boresight_ekf.hpp"
+#include "core/kalman.hpp"
 #include "util/rng.hpp"
+
+namespace ob::core {
+
+// Names the mode in test listings and names, not gtest's byte dump.
+void PrintTo(JacobianMode mode, std::ostream* os) {
+    *os << (mode == JacobianMode::kNumeric ? "Numeric" : "Analytic");
+}
+
+}  // namespace ob::core
 
 namespace {
 
@@ -12,6 +24,7 @@ using namespace ob::core;
 using ob::math::deg2rad;
 using ob::math::dcm_from_euler;
 using ob::math::EulerAngles;
+using ob::math::Mat;
 using ob::math::rad2deg;
 using ob::math::Vec2;
 using ob::math::Vec3;
@@ -314,5 +327,177 @@ TEST_P(BoresightConsistencyTest, ErrorWithinReportedConfidence) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoresightConsistencyTest,
                          ::testing::Range(0, 20));
+
+// The 5-state composition that BoresightEkf stepped for every configuration
+// before the filter was sized to the estimated state: the two bias states
+// ride along at exactly zero covariance and zero process noise. With biases
+// off, the 3-state filter must reproduce it bit for bit.
+class ZeroBiasReference {
+public:
+    explicit ZeroBiasReference(const BoresightConfig& cfg)
+        : cfg_(cfg),
+          sigma_(cfg.meas_noise_mps2),
+          ekf_(ob::math::Vec<5>{},
+               angle_diagonal(cfg.init_angle_sigma * cfg.init_angle_sigma)),
+          q_(angle_diagonal(cfg.angle_process_noise *
+                            cfg.angle_process_noise)) {}
+
+    BoresightEkf::Update step(const Vec3& f_body, const Vec2& z) {
+        ekf_.predict_static(q_);
+        const auto& x = ekf_.state();
+        const Vec3 rho{x[0], x[1], x[2]};
+        const Vec2 b{x[3], x[4]};
+        const Vec3 f_rot =
+            dcm_from_euler(EulerAngles::from_vec(rho)) * f_body;
+        const Vec2 z_pred{f_rot[0] + x[3], f_rot[1] + x[4]};
+        Mat<2, 5> h;
+        if (cfg_.jacobian == JacobianMode::kAnalyticSmallAngle) {
+            const auto sk = ob::math::skew(f_rot);
+            for (std::size_t r = 0; r < 2; ++r)
+                for (std::size_t c = 0; c < 3; ++c) h(r, c) = sk(r, c);
+        } else {
+            constexpr double kStep = 1e-6;
+            for (std::size_t j = 0; j < 3; ++j) {
+                Vec3 lo = rho, hi = rho;
+                lo[j] -= kStep;
+                hi[j] += kStep;
+                const Vec2 dlo = BoresightEkf::predict_measurement(lo, b, f_body);
+                const Vec2 dhi = BoresightEkf::predict_measurement(hi, b, f_body);
+                for (std::size_t r = 0; r < 2; ++r)
+                    h(r, j) = (dhi[r] - dlo[r]) / (2.0 * kStep);
+            }
+        }
+        h(0, 3) = 1.0;
+        h(1, 4) = 1.0;
+        Mat<2, 2> r;
+        r(0, 0) = sigma_ * sigma_;
+        r(1, 1) = sigma_ * sigma_;
+        const auto res = ekf_.update(z, z_pred, h, r, cfg_.nis_gate);
+        if (res.accepted) ++updates_;
+        BoresightEkf::Update out;
+        out.residual = res.innovation;
+        out.sigma3 =
+            Vec2{3.0 * std::sqrt(res.s(0, 0)), 3.0 * std::sqrt(res.s(1, 1))};
+        out.nis = res.nis;
+        out.used = res.accepted;
+        return out;
+    }
+
+    void set_measurement_noise(double sigma) { sigma_ = sigma; }
+    void grow_angle_covariance(double v) {
+        if (v == 0.0) return;
+        Mat<5, 5> p = ekf_.covariance();
+        for (std::size_t i = 0; i < 3; ++i) p(i, i) += v;
+        ekf_.set_covariance(p);
+    }
+    void reset() { *this = ZeroBiasReference(cfg_); }
+
+    [[nodiscard]] EulerAngles misalignment() const {
+        const auto& x = ekf_.state();
+        return EulerAngles{x[0], x[1], x[2]};
+    }
+    [[nodiscard]] Vec3 misalignment_sigma3() const {
+        return Vec3{3.0 * ekf_.sigma(0), 3.0 * ekf_.sigma(1),
+                    3.0 * ekf_.sigma(2)};
+    }
+    [[nodiscard]] Vec2 bias() const {
+        return Vec2{ekf_.state()[3], ekf_.state()[4]};
+    }
+    [[nodiscard]] Vec2 bias_sigma3() const {
+        return Vec2{3.0 * ekf_.sigma(3), 3.0 * ekf_.sigma(4)};
+    }
+    [[nodiscard]] std::size_t updates() const { return updates_; }
+
+private:
+    static Mat<5, 5> angle_diagonal(double v) {
+        Mat<5, 5> m;
+        for (std::size_t i = 0; i < 3; ++i) m(i, i) = v;
+        return m;
+    }
+
+    BoresightConfig cfg_;
+    double sigma_;
+    Ekf<5, 2> ekf_;
+    Mat<5, 5> q_;
+    std::size_t updates_ = 0;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class BoresightZeroBiasDifferential
+    : public ::testing::TestWithParam<JacobianMode> {};
+
+TEST_P(BoresightZeroBiasDifferential, ThreeStateMatchesFiveStateBitwise) {
+    BoresightConfig cfg;
+    cfg.jacobian = GetParam();
+    cfg.nis_gate = 13.8;
+    BoresightEkf ekf(cfg);
+    ZeroBiasReference ref(cfg);
+
+    const EulerAngles truth = EulerAngles::from_deg(1.5, -2.5, 3.0);
+    Rng rng(2024);
+    std::size_t rejected = 0;
+    for (int k = 0; k < 6000; ++k) {
+        Vec3 f{rng.gaussian(2.0), rng.gaussian(1.5), -kG + rng.gaussian(0.5)};
+        // Exact zeros and signed zeros in the body force, including free
+        // fall, exercise the terms the matrix product no longer skips.
+        if (k % 7 == 0) f = Vec3{0.0, 0.0, -kG};
+        if (k % 11 == 0) f = Vec3{-0.0, 0.0, -kG};
+        if (k % 17 == 0) f = Vec3{-0.0, 0.0, -0.0};
+        Vec2 z = ideal_acc(truth, f) +
+                 Vec2{rng.gaussian(0.01), rng.gaussian(0.01)};
+        if (k % 13 == 0) z = Vec2{-0.0, 0.0};
+        if (k % 97 == 0) z[0] += 5.0;  // gross spike for the NIS gate
+
+        if (k == 2000) {
+            ekf.set_measurement_noise(0.02);
+            ref.set_measurement_noise(0.02);
+        }
+        if (k == 3500) {
+            ekf.set_measurement_noise(0.007);
+            ref.set_measurement_noise(0.007);
+        }
+        if (k >= 4000 && k < 4100) {  // a coast: covariance grows
+            const double v = k % 2 == 0 ? 1e-8 : 0.0;
+            ekf.grow_angle_covariance(v);
+            ref.grow_angle_covariance(v);
+        }
+        if (k == 5500) {
+            ekf.reset();
+            ref.reset();
+        }
+
+        const auto got = ekf.step(f, z);
+        const auto want = ref.step(f, z);
+        if (!want.used) ++rejected;
+        const EulerAngles m = ekf.misalignment(), mr = ref.misalignment();
+        const Vec3 s3 = ekf.misalignment_sigma3(),
+                   s3r = ref.misalignment_sigma3();
+        for (std::size_t i = 0; i < 2; ++i) {
+            ASSERT_EQ(bits(got.residual[i]), bits(want.residual[i])) << k;
+            ASSERT_EQ(bits(got.sigma3[i]), bits(want.sigma3[i])) << k;
+        }
+        ASSERT_EQ(bits(got.nis), bits(want.nis)) << k;
+        ASSERT_EQ(got.used, want.used) << k;
+        ASSERT_EQ(bits(m.roll), bits(mr.roll)) << k;
+        ASSERT_EQ(bits(m.pitch), bits(mr.pitch)) << k;
+        ASSERT_EQ(bits(m.yaw), bits(mr.yaw)) << k;
+        for (std::size_t i = 0; i < 3; ++i)
+            ASSERT_EQ(bits(s3[i]), bits(s3r[i])) << k;
+        ASSERT_EQ(ekf.updates(), ref.updates()) << k;
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(bits(ekf.bias()[i]), bits(ref.bias()[i]));
+        EXPECT_EQ(bits(ekf.bias_sigma3()[i]), bits(ref.bias_sigma3()[i]));
+    }
+    // Both verdicts of the gate were exercised.
+    EXPECT_GT(rejected, 100u);
+    EXPECT_GT(ekf.updates(), 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JacobianModes, BoresightZeroBiasDifferential,
+    ::testing::Values(JacobianMode::kAnalyticSmallAngle, JacobianMode::kNumeric),
+    ::testing::PrintToStringParamName());
 
 }  // namespace

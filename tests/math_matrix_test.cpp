@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "math/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -184,6 +189,87 @@ TEST_P(MatrixPropertyTest, SolveSatisfiesSystem) {
     const auto b = random_matrix<4, 1>(rng);
     const auto x = solve(a, b);
     EXPECT_LT(((a * x) - b).max_abs(), 1e-9);
+}
+
+/// Random matrix in which about half the entries are exact zeros, a third
+/// of those negative.
+template <std::size_t R, std::size_t C>
+Mat<R, C> sparse_matrix(Rng& rng) {
+    Mat<R, C> m;
+    for (std::size_t i = 0; i < R; ++i) {
+        for (std::size_t j = 0; j < C; ++j) {
+            const double u = rng.uniform();
+            m(i, j) = u < 0.3 ? 0.0 : u < 0.45 ? -0.0 : rng.gaussian(3.0);
+        }
+    }
+    return m;
+}
+
+/// The reference product: each entry sums its terms in k order from +0.
+template <std::size_t R, std::size_t K, std::size_t C>
+Mat<R, C> naive_product(const Mat<R, K>& a, const Mat<K, C>& b) {
+    Mat<R, C> out;
+    for (std::size_t i = 0; i < R; ++i) {
+        for (std::size_t j = 0; j < C; ++j) {
+            double s = 0.0;
+            for (std::size_t k = 0; k < K; ++k) s += a(i, k) * b(k, j);
+            out(i, j) = s;
+        }
+    }
+    return out;
+}
+
+template <std::size_t R, std::size_t K, std::size_t C>
+void expect_product_matches_naive(Rng& rng) {
+    const auto a = sparse_matrix<R, K>(rng);
+    const auto b = sparse_matrix<K, C>(rng);
+    const auto got = a * b;
+    const auto want = naive_product(a, b);
+    for (std::size_t i = 0; i < R; ++i) {
+        for (std::size_t j = 0; j < C; ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                      std::bit_cast<std::uint64_t>(want(i, j)));
+            // A sum started at +0 never rounds to −0.
+            if (got(i, j) == 0.0) {
+                EXPECT_FALSE(std::signbit(got(i, j)));
+            }
+        }
+    }
+}
+
+TEST_P(MatrixPropertyTest, ProductWithZerosMatchesNaiveLoopBitwise) {
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + 500);
+    expect_product_matches_naive<2, 5, 5>(rng);
+    expect_product_matches_naive<5, 5, 2>(rng);
+    expect_product_matches_naive<5, 5, 5>(rng);
+    expect_product_matches_naive<3, 3, 3>(rng);
+    expect_product_matches_naive<3, 3, 1>(rng);
+    expect_product_matches_naive<2, 3, 2>(rng);
+}
+
+TEST(Matrix, ProductOfSignedZerosIsPositiveZero) {
+    const Mat<2, 2> neg{-0.0, -0.0, -0.0, -0.0};
+    const Mat<2, 2> mixed{-1.0, 2.0, 0.0, -0.0};
+    for (const auto& p : {neg * mixed, mixed * neg, neg * neg}) {
+        for (std::size_t i = 0; i < 2; ++i) {
+            for (std::size_t j = 0; j < 2; ++j) {
+                EXPECT_EQ(p(i, j), 0.0);
+                EXPECT_FALSE(std::signbit(p(i, j)));
+            }
+        }
+    }
+}
+
+TEST(Matrix, ZeroTimesInfinityInProductIsNaN) {
+    // Every term is computed, so 0·inf contributes NaN as IEEE 754
+    // requires, rather than being skipped as a zero term.
+    const double inf = std::numeric_limits<double>::infinity();
+    const Mat<1, 2> a{0.0, 1.0};
+    const Vec2 b{inf, 2.0};
+    EXPECT_TRUE(std::isnan((a * b)[0]));
+    const Mat<2, 2> i2 = Mat<2, 2>::identity();
+    const Vec2 v{std::nan(""), 1.0};
+    EXPECT_TRUE(std::isnan((i2 * v)[1]));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatrixPropertyTest, ::testing::Range(0, 25));
