@@ -8,6 +8,8 @@
 #include "sabre/cpu.hpp"
 #include "sabre/firmware.hpp"
 #include "sabre/peripherals.hpp"
+#include "sim/scenario_library.hpp"
+#include "system/sabre_runner.hpp"
 
 namespace {
 
@@ -88,6 +90,44 @@ void BM_FpuPeripheralOp(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FpuPeripheralOp);
+
+/// One boresight epoch through SabreFusionSystem (push one wire sample
+/// pair, run the firmware until it has folded it), cycling over the first
+/// 200 city-drive epochs. The time column is host ns per epoch; the
+/// counters are the simulated core's exact work per epoch.
+void BM_FirmwareEpoch(benchmark::State& state, DispatchMode mode) {
+    const auto& spec = ob::sim::ScenarioLibrary::instance().at("city-drive");
+    const std::uint64_t seed = ob::sim::scenario_seed(spec.name, 1);
+    ob::sim::Scenario sc(spec.build(2.0, spec.misalignment, seed), seed);
+    std::vector<ob::sim::Scenario::Step> epochs;
+    while (auto step = sc.next()) epochs.push_back(*step);
+
+    ob::system::SabreFusionSystem::Config cfg;
+    cfg.r_sigma = spec.meas_noise_mps2;
+    cfg.dispatch = mode;
+    ob::system::SabreFusionSystem sys(cfg);
+    const std::uint64_t instructions0 = sys.instructions();
+    const std::uint64_t cycles0 = sys.cycles();
+    const std::uint64_t fpu_ops0 = sys.fpu_operations();
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const auto& e = epochs[k++ % epochs.size()];
+        sys.push(e.dmu, e.adxl);
+        benchmark::DoNotOptimize(sys.run_pending());
+    }
+    const auto per_epoch = [&](std::uint64_t total) {
+        return static_cast<double>(total) /
+               static_cast<double>(state.iterations());
+    };
+    state.SetItemsProcessed(state.iterations());
+    state.counters["instructions_per_epoch"] =
+        per_epoch(sys.instructions() - instructions0);
+    state.counters["cycles_per_epoch"] = per_epoch(sys.cycles() - cycles0);
+    state.counters["fpu_ops_per_epoch"] =
+        per_epoch(sys.fpu_operations() - fpu_ops0);
+}
+BENCHMARK_CAPTURE(BM_FirmwareEpoch, cached, DispatchMode::kCached);
+BENCHMARK_CAPTURE(BM_FirmwareEpoch, interpreter, DispatchMode::kInterpreter);
 
 }  // namespace
 

@@ -1,10 +1,13 @@
 // P7 — cost of IEEE-754 emulation: the paper ran the filter's floating
 // point through the Berkeley Softfloat library because Sabre has no FPU.
-// This bench quantifies the emulation penalty per operation class against
-// the host's hardware FPU.
+// This bench quantifies the emulation cost per operation class three ways:
+// the public ops (binary64-then-round on the host FPU for normal operands
+// in round-to-nearest), the integer reference routines they fall back to
+// elsewhere, and the host's binary32 hardware ops.
 
 #include <benchmark/benchmark.h>
 
+#include "softfloat/internal.hpp"
 #include "softfloat/softfloat.hpp"
 #include "util/rng.hpp"
 
@@ -26,52 +29,57 @@ std::vector<std::pair<sf::F32, sf::F32>> operand_corpus() {
     return ops;
 }
 
-void BM_SoftfloatAdd(benchmark::State& state) {
+using BinaryFn = sf::F32 (*)(sf::F32, sf::F32, sf::Context&);
+using UnaryFn = sf::F32 (*)(sf::F32, sf::Context&);
+
+void run_binary(benchmark::State& state, BinaryFn op) {
     const auto ops = operand_corpus();
     sf::Context ctx;
     std::size_t i = 0;
     for (auto _ : state) {
         const auto& [a, b] = ops[i++ & 4095];
-        benchmark::DoNotOptimize(sf::add(a, b, ctx));
+        benchmark::DoNotOptimize(op(a, b, ctx));
     }
     state.SetItemsProcessed(state.iterations());
 }
+
+void run_sqrt(benchmark::State& state, UnaryFn op) {
+    const auto ops = operand_corpus();
+    sf::Context ctx;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(op(sf::abs(ops[i++ & 4095].first), ctx));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SoftfloatAdd(benchmark::State& state) { run_binary(state, &sf::add); }
 BENCHMARK(BM_SoftfloatAdd);
-
-void BM_SoftfloatMul(benchmark::State& state) {
-    const auto ops = operand_corpus();
-    sf::Context ctx;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const auto& [a, b] = ops[i++ & 4095];
-        benchmark::DoNotOptimize(sf::mul(a, b, ctx));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
+void BM_SoftfloatMul(benchmark::State& state) { run_binary(state, &sf::mul); }
 BENCHMARK(BM_SoftfloatMul);
-
-void BM_SoftfloatDiv(benchmark::State& state) {
-    const auto ops = operand_corpus();
-    sf::Context ctx;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const auto& [a, b] = ops[i++ & 4095];
-        benchmark::DoNotOptimize(sf::div(a, b, ctx));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
+void BM_SoftfloatDiv(benchmark::State& state) { run_binary(state, &sf::div); }
 BENCHMARK(BM_SoftfloatDiv);
-
-void BM_SoftfloatSqrt(benchmark::State& state) {
-    const auto ops = operand_corpus();
-    sf::Context ctx;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sf::sqrt(sf::abs(ops[i++ & 4095].first), ctx));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
+void BM_SoftfloatSqrt(benchmark::State& state) { run_sqrt(state, &sf::sqrt); }
 BENCHMARK(BM_SoftfloatSqrt);
+
+// The integer routines alone: what every op cost before the fast path,
+// and what specials, subnormals and directed rounding still cost.
+void BM_SoftfloatReferenceAdd(benchmark::State& state) {
+    run_binary(state, &sf::detail::reference_add);
+}
+BENCHMARK(BM_SoftfloatReferenceAdd);
+void BM_SoftfloatReferenceMul(benchmark::State& state) {
+    run_binary(state, &sf::detail::reference_mul);
+}
+BENCHMARK(BM_SoftfloatReferenceMul);
+void BM_SoftfloatReferenceDiv(benchmark::State& state) {
+    run_binary(state, &sf::detail::reference_div);
+}
+BENCHMARK(BM_SoftfloatReferenceDiv);
+void BM_SoftfloatReferenceSqrt(benchmark::State& state) {
+    run_sqrt(state, &sf::detail::reference_sqrt);
+}
+BENCHMARK(BM_SoftfloatReferenceSqrt);
 
 // Host-FPU reference points.
 void BM_HostAdd(benchmark::State& state) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI docs job (and locally).
 
-Two independent checks, both offline:
+Three independent checks, all offline:
 
 1. Markdown link check — every relative link in README.md, ROADMAP.md and
    docs/*.md must resolve to a file in the checkout, and every anchor
@@ -11,6 +11,8 @@ Two independent checks, both offline:
    compiles (src/system/fleet_protocol.hpp): protocol version, frame
    magic, header size, payload cap, and every fixed payload size. Bumping
    either side without the other fails here, not in a code review.
+3. Test citations — every `<name>_test` the docs cite must have its
+   source, tests/<name>.cpp.
 
 Exit code 0 when clean; 1 with one line per finding otherwise.
 """
@@ -29,6 +31,7 @@ PROTOCOL_DOC = ROOT / "docs" / "PROTOCOL.md"
 # Markdown links: [text](target). Images and bare URLs are out of scope.
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+TEST_NAME_RE = re.compile(r"\b([a-z][a-z0-9_]*_test)\b")
 
 
 def github_slug(heading):
@@ -119,17 +122,27 @@ def check_protocol_drift(errors):
             "type table must list `HelloOk` with payload size {v}")
 
 
+def check_test_citations(errors):
+    for doc in DOC_FILES:
+        rel = doc.relative_to(ROOT)
+        for name in sorted(set(TEST_NAME_RE.findall(doc.read_text()))):
+            if not (ROOT / "tests" / f"{name}.cpp").exists():
+                errors.append(f"{rel}: cites {name}, but there is no "
+                              f"tests/{name}.cpp")
+
+
 def main():
     errors = []
     check_links(errors)
     check_protocol_drift(errors)
+    check_test_citations(errors)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     if errors:
         print(f"{len(errors)} documentation finding(s)", file=sys.stderr)
         return 1
     print(f"docs OK: {len(DOC_FILES)} file(s) link-checked, protocol "
-          "constants in sync")
+          "constants in sync, cited tests exist")
     return 0
 
 

@@ -5,6 +5,54 @@
 
 namespace ob::sabre {
 
+namespace {
+
+/// `op rd, imm(zero)` on an aligned, in-range data-memory word.
+[[nodiscard]] bool data_access(const Instruction& ins, Op op, std::uint8_t rd) {
+    return ins.op == op && ins.rd == rd && ins.rs1 == 0 && ins.imm >= 0 &&
+           ins.imm % 4 == 0 &&
+           static_cast<std::size_t>(ins.imm) + 4 <= kDataBytes;
+}
+
+/// `op rd, (periph::kFpu + reg)(rb)`: an access to an FPU register.
+[[nodiscard]] bool fpu_access(const Instruction& ins, Op op, std::uint8_t rd,
+                              std::uint8_t rb, std::uint32_t reg) {
+    return ins.op == op && ins.rd == rd && ins.rs1 == rb &&
+           ins.imm == static_cast<std::int32_t>(periph::kFpu + reg);
+}
+
+/// Length of the FPU protocol sequence headed by code[i] (8 with a B
+/// operand, 6 without; see DecodedProgram), or 0 when it heads none.
+[[nodiscard]] std::size_t fpu_sequence_length(
+    const std::vector<DecodedInst>& code, std::size_t i) {
+    const std::size_t n = code.size();
+    if (i + 6 > n) return 0;
+    const auto at = [&](std::size_t k) -> const Instruction& {
+        return code[i + k].ins;
+    };
+    const std::uint8_t rd = at(0).rd;
+    const std::uint8_t rb = at(1).rs1;
+    if (rd == 0 || rd == rb || !data_access(at(0), Op::kLw, rd) ||
+        !fpu_access(at(1), Op::kSw, rd, rb, 0x0))
+        return 0;
+    std::size_t k = 2;
+    if (i + 8 <= n && data_access(at(2), Op::kLw, rd) &&
+        fpu_access(at(3), Op::kSw, rd, rb, 0x4))
+        k = 4;
+    if (i + k + 4 > n) return 0;
+    const Instruction& cmd = at(k);
+    if (cmd.op != Op::kAddi || cmd.rd != rd || cmd.rs1 != 0 || cmd.imm < 0 ||
+        cmd.imm > static_cast<std::int32_t>(FpuPeripheral::kAbs))
+        return 0;
+    if (!fpu_access(at(k + 1), Op::kSw, rd, rb, 0x8) ||
+        !fpu_access(at(k + 2), Op::kLw, rd, rb, 0xC) ||
+        !data_access(at(k + 3), Op::kSw, rd))
+        return 0;
+    return k + 4;
+}
+
+}  // namespace
+
 DecodedProgram::DecodedProgram(Program program)
     : words_(std::move(program.words)) {
     if (words_.size() > kProgramWords)
@@ -17,6 +65,16 @@ DecodedProgram::DecodedProgram(Program program)
             throw std::invalid_argument("program word " + std::to_string(i) +
                                         ": " + e.what());
         }
+    }
+    for (std::size_t i = 0; i < code_.size(); ++i) {
+        const std::size_t len = fpu_sequence_length(code_, i);
+        if (len == 0) continue;
+        unsigned cycles = 0;
+        for (std::size_t k = 0; k < len; ++k) cycles += code_[i + k].cost;
+        DecodedInst& head = code_[i];
+        head.fused_len = static_cast<std::uint8_t>(len);
+        head.fused_cycles = static_cast<std::uint8_t>(cycles);
+        head.fused_cmd = static_cast<std::uint8_t>(code_[i + len - 4].ins.imm);
     }
 }
 
@@ -322,6 +380,41 @@ struct SabreOps {
         std::uint32_t v;
         std::memcpy(&v, &c.data_[addr], 4);
         c.set_rd(d.rd, v);
+        return true;
+    }
+
+    /// Batched-executor fused op for a marked FPU protocol sequence (see
+    /// DecodedProgram): reads A (and B) from data memory, latches them and
+    /// issues the command through the same FpuPeripheral register writes
+    /// the stores perform, then writes the result to D and rd. Returns
+    /// false WITHOUT side effects unless rB + periph::kFpu is offset 0 of
+    /// the bus's FPU window and that window is not watched; the caller has
+    /// already checked the cycle budget. Nothing in the sequence can trap:
+    /// its data addresses and command were validated at predecode.
+    [[gnu::always_inline]] static inline bool fused_fpu(SabreCpu& c,
+                                                        const DecodedInst* di,
+                                                        const BusFast& bf) {
+        const std::uint32_t base = c.regs_[di[1].ins.rs1] + periph::kFpu;
+        const std::uint32_t off = base & ~kPeripheralBit;
+        if ((base & kPeripheralBit) == 0 ||
+            off / SabreBus::kWindowBytes != bf.fpu_window ||
+            off % SabreBus::kWindowBytes != 0 || off == bf.watch_window)
+            return false;
+        const auto data = [&c](const Instruction& ins) -> std::uint8_t* {
+            return &c.data_[static_cast<std::uint32_t>(ins.imm)];
+        };
+        std::uint32_t v;
+        std::memcpy(&v, data(di[0].ins), 4);
+        FpuPeripheral& fpu = *bf.fpu;
+        fpu.FpuPeripheral::write(0x0, v);
+        if (di->fused_len == 8) {
+            std::memcpy(&v, data(di[2].ins), 4);
+            fpu.FpuPeripheral::write(0x4, v);
+        }
+        fpu.FpuPeripheral::write(0x8, di->fused_cmd);
+        v = fpu.FpuPeripheral::read(0xC);
+        std::memcpy(data(di[di->fused_len - 1].ins), &v, 4);
+        c.regs_[di->ins.rd] = v;
         return true;
     }
 
@@ -702,8 +795,18 @@ std::size_t SabreCpu::run_batched(std::uint64_t max_cycles,
     // bus — a non-FPU peripheral may observe the live counter
     // (CounterPeripheral) — and re-runs the access from scratch through
     // the shared handler, which also produces the trap on a bad address.
+    // An lw heading a marked FPU protocol sequence first tries to run the
+    // whole straight-line sequence as one fused op; the fetch above has
+    // charged the head's cost, so the budget check and the counters add
+    // the rest of the sequence.
     L_lw:
-        if (SabreOps::lw_fast(*this, di->ins, bus_fast)) {
+        if (di->fused_len != 0 &&
+            cyc + (di->fused_cycles - di->cost) <= max_cycles &&
+            SabreOps::fused_fpu(*this, di, bus_fast)) {
+            cyc += di->fused_cycles - di->cost;
+            ret += di->fused_len - 1u;
+            pc += di->fused_len;
+        } else if (SabreOps::lw_fast(*this, di->ins, bus_fast)) {
             ++pc;
         } else {
             cycles_ = cyc;

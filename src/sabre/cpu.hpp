@@ -33,6 +33,18 @@ private:
 /// mid-run. The image is shareable: the fleet constructs one SabreCpu per
 /// scenario realization from the same firmware, and they all reference a
 /// single predecode.
+///
+/// Predecode also marks each FPU protocol sequence the firmware emitter
+/// produces (operands from data memory into the FPU window at
+/// periph::kFpu off a base register rB, a command, the result back to
+/// data memory):
+///
+///   lw rd,A(zero); sw rd,0x700(rB); [lw rd,B(zero); sw rd,0x704(rB);]
+///   addi rd,zero,CMD; sw rd,0x708(rB); lw rd,0x70C(rB); sw rd,D(zero)
+///
+/// when every data address is aligned and in range, CMD is a known
+/// FpuPeripheral::Cmd and rd is neither r0 nor rB. The batched executor
+/// may then run the whole sequence as one fused op (see SabreCpu::run).
 class DecodedProgram {
 public:
     /// Throws std::invalid_argument on an oversized program or on any
@@ -87,6 +99,13 @@ public:
     /// `cycles() <= max_cycles` always holds (the pre-decode loop used to
     /// let the last instruction overshoot the deadline). Returns the
     /// number of instructions retired by this call.
+    ///
+    /// In cached mode without a trace hook, a marked FPU protocol sequence
+    /// (see DecodedProgram) runs as one fused op when the budget covers
+    /// the whole sequence, rB addresses the FPU window and that window is
+    /// not being watched; its architectural effects (registers, data
+    /// memory, FPU latches, flags and operation count, cycles, retired
+    /// count) are exactly those of stepping it. step() never fuses.
     std::size_t run(std::uint64_t max_cycles = 10'000'000);
 
     /// Run like `run(max_cycles)` but also stop immediately after any

@@ -22,7 +22,9 @@ public:
         return stem + "_" + std::to_string(counter_++);
     }
 
-    /// dst_float = a_float OP b_float through the FPU peripheral.
+    /// dst_float = a_float OP b_float through the FPU peripheral. The
+    /// instruction shapes of fpu2/fpu1 are what DecodedProgram marks for
+    /// fused execution (cpu.hpp); sabre_dispatch_test pins how many match.
     void fpu2(std::uint32_t dst, std::uint32_t a, std::uint32_t b,
               FpuPeripheral::Cmd cmd) {
         load_to_fpu_a(a);

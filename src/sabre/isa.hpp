@@ -96,7 +96,14 @@ struct alignas(16) DecodedInst {
     std::uint8_t opid = 0;     ///< raw 6-bit opcode: dispatch-table index
     std::uint8_t cost = 1;     ///< base_cycles(ins.op)
     std::uint8_t worst_cost = 1;  ///< cost + taken-branch penalty if branch
+    /// Set by DecodedProgram on the lw that heads a firmware FPU protocol
+    /// sequence: its length in instructions (0 when this word heads none),
+    /// its total cycles, and the FPU command it issues.
+    std::uint8_t fused_len = 0;
+    std::uint8_t fused_cycles = 0;
+    std::uint8_t fused_cmd = 0;
 };
+static_assert(sizeof(DecodedInst) == 16);
 
 /// The opcode field is 6 bits, so dispatch tables have 64 slots.
 inline constexpr std::size_t kOpcodeSlots = 64;

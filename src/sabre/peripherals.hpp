@@ -203,11 +203,17 @@ private:
 /// paper's "peripherals are designed to be as smart as possible" principle
 /// this build moves that emulation into a bus peripheral backed by our
 /// softfloat library — same IEEE-754 semantics, one bus transaction per
-/// operand/result instead of a software subroutine.
+/// operand/result instead of a software subroutine. The library computes
+/// add/sub/mul/div/sqrt on the host FPU where that is provably bit-exact
+/// and in integer arithmetic elsewhere; results and flags are the same
+/// either way.
 ///
 /// Protocol: write operands to A (0x0) and B (0x4), write the opcode to
 /// CMD (0x8) which executes immediately; read RESULT (0xC) and FLAGS
-/// (0x10). Flags accumulate until cleared by writing FLAGS.
+/// (0x10). Flags accumulate until cleared by writing FLAGS. The CPU's
+/// batched executor may run a whole firmware protocol sequence as one
+/// fused op (see DecodedProgram); it drives these same registers, so the
+/// latches, flags and operations() end exactly as stepping leaves them.
 class FpuPeripheral final : public Peripheral {
 public:
     enum Cmd : std::uint32_t {

@@ -1,23 +1,20 @@
 #pragma once
 
-#include <cstdint>
-
 #include "softfloat/softfloat.hpp"
 
-// Shared internals between the binary32 and binary64 translation units.
-// Not part of the public API.
+// The integer reference routines behind softfloat.hpp's arithmetic: the
+// Berkeley-style implementations that handle every operand class, rounding
+// mode and flag. The public add/sub/mul/div/sqrt try an exact binary64
+// fast path first and fall back to these; the differential tests and the
+// softfloat bench call them directly as the oracle. Not part of the public
+// API.
 
 namespace ob::softfloat::detail {
 
-/// Right shift that ORs shifted-out bits into the LSB ("jamming").
-[[nodiscard]] std::uint32_t shift_right_jam32(std::uint32_t a,
-                                              std::int32_t count);
-[[nodiscard]] std::uint64_t shift_right_jam64(std::uint64_t a,
-                                              std::int32_t count);
-
-/// Round a 31-bit significand (MSB at bit 30, 7 round bits) per the
-/// context mode and pack a binary32.
-[[nodiscard]] F32 round_and_pack32(bool sign, std::int32_t exp,
-                                   std::uint32_t sig, Context& ctx);
+[[nodiscard]] F32 reference_add(F32 a, F32 b, Context& ctx);
+[[nodiscard]] F32 reference_sub(F32 a, F32 b, Context& ctx);
+[[nodiscard]] F32 reference_mul(F32 a, F32 b, Context& ctx);
+[[nodiscard]] F32 reference_div(F32 a, F32 b, Context& ctx);
+[[nodiscard]] F32 reference_sqrt(F32 a, Context& ctx);
 
 }  // namespace ob::softfloat::detail

@@ -1,7 +1,10 @@
 #include "softfloat/softfloat.hpp"
 
 #include <bit>
-#include <cstring>
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <optional>
 
 #include "softfloat/internal.hpp"
 
@@ -9,6 +12,10 @@
 // structure of Hauser's Berkeley Softfloat (the library the paper ran on
 // the Sabre soft core): operands are unpacked to sign/exponent/significand,
 // computed with explicit guard/round/sticky bits, then rounded and packed.
+//
+// These integer routines are the reference implementation (detail::, see
+// internal.hpp); the public arithmetic entry points first try an exact
+// binary64 fast path on the host FPU (below) and fall back to them.
 //
 // Internal fixed-point convention (Berkeley's): a working significand
 // `zSig` passed to round_and_pack() is a 31-bit quantity with its most
@@ -19,7 +26,6 @@ namespace ob::softfloat {
 namespace {
 
 constexpr std::uint32_t kSignMask = 0x80000000u;
-constexpr std::uint32_t kFracMask = 0x007FFFFFu;
 constexpr std::uint32_t kHiddenBit = 0x00800000u;
 
 [[nodiscard]] std::uint32_t pack(bool sign, std::int32_t exp, std::uint32_t sig) {
@@ -29,13 +35,10 @@ constexpr std::uint32_t kHiddenBit = 0x00800000u;
            (static_cast<std::uint32_t>(exp) << 23) + sig;
 }
 
-}  // namespace
-
-namespace detail {
-
 /// Right shift that ORs all shifted-out bits into the result LSB ("jamming"),
 /// preserving inexactness information for rounding.
-std::uint32_t shift_right_jam32(std::uint32_t a, std::int32_t count) {
+[[nodiscard]] std::uint32_t shift_right_jam32(std::uint32_t a,
+                                              std::int32_t count) {
     if (count == 0) return a;
     if (count < 32) {
         const std::uint32_t lost = a << ((32 - count) & 31);
@@ -44,7 +47,8 @@ std::uint32_t shift_right_jam32(std::uint32_t a, std::int32_t count) {
     return a != 0 ? 1u : 0u;
 }
 
-std::uint64_t shift_right_jam64(std::uint64_t a, std::int32_t count) {
+[[nodiscard]] std::uint64_t shift_right_jam64(std::uint64_t a,
+                                              std::int32_t count) {
     if (count == 0) return a;
     if (count < 64) {
         const std::uint64_t lost = a << ((64 - count) & 63);
@@ -52,13 +56,6 @@ std::uint64_t shift_right_jam64(std::uint64_t a, std::int32_t count) {
     }
     return a != 0 ? 1u : 0u;
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::shift_right_jam32;
-using detail::shift_right_jam64;
 
 /// Normalize a subnormal fraction: returns the left shift applied so the
 /// hidden-bit position (bit 23) is set, and the adjusted exponent.
@@ -79,14 +76,11 @@ struct Normalized {
     return F32::quiet_nan();
 }
 
-}  // namespace
-
-namespace detail {
 /// Round `zSig` (31-bit, MSB at bit 30, 7 round bits) per the context mode
 /// and pack the result, handling overflow to infinity and underflow to
 /// subnormals/zero. Tininess is detected before rounding.
-F32 round_and_pack32(bool sign, std::int32_t exp, std::uint32_t sig,
-                     Context& ctx) {
+[[nodiscard]] F32 round_and_pack(bool sign, std::int32_t exp,
+                                 std::uint32_t sig, Context& ctx) {
     const bool nearest = ctx.rounding == Round::kNearestEven;
     std::uint32_t increment = 0x40;
     if (!nearest) {
@@ -123,16 +117,6 @@ F32 round_and_pack32(bool sign, std::int32_t exp, std::uint32_t sig,
     if (sig == 0) exp = 0;
     return F32{pack(sign, exp, sig)};
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::round_and_pack32;
-constexpr auto round_and_pack = [](bool sign, std::int32_t exp,
-                                   std::uint32_t sig, Context& ctx) {
-    return round_and_pack32(sign, exp, sig, ctx);
-};
 
 /// Left-normalize an arbitrary nonzero significand then round and pack.
 [[nodiscard]] F32 normalize_round_and_pack(bool sign, std::int32_t exp,
@@ -282,30 +266,23 @@ constexpr auto round_and_pack = [](bool sign, std::int32_t exp,
 
 }  // namespace
 
-F32 from_host(float f) {
-    std::uint32_t bits;
-    static_assert(sizeof(float) == sizeof(std::uint32_t));
-    std::memcpy(&bits, &f, sizeof bits);
-    return F32{bits};
-}
+F32 from_host(float f) { return F32{std::bit_cast<std::uint32_t>(f)}; }
 
-float to_host(F32 a) {
-    float f;
-    std::memcpy(&f, &a.bits, sizeof f);
-    return f;
-}
+float to_host(F32 a) { return std::bit_cast<float>(a.bits); }
 
-F32 add(F32 a, F32 b, Context& ctx) {
+namespace detail {
+
+F32 reference_add(F32 a, F32 b, Context& ctx) {
     if (a.sign() == b.sign()) return add_sigs(a, b, a.sign(), ctx);
     return sub_sigs(a, b, a.sign(), ctx);
 }
 
-F32 sub(F32 a, F32 b, Context& ctx) {
+F32 reference_sub(F32 a, F32 b, Context& ctx) {
     if (a.sign() == b.sign()) return sub_sigs(a, b, a.sign(), ctx);
     return add_sigs(a, b, a.sign(), ctx);
 }
 
-F32 mul(F32 a, F32 b, Context& ctx) {
+F32 reference_mul(F32 a, F32 b, Context& ctx) {
     std::int32_t a_exp = static_cast<std::int32_t>(a.exponent());
     std::int32_t b_exp = static_cast<std::int32_t>(b.exponent());
     std::uint32_t a_sig = a.fraction();
@@ -353,7 +330,7 @@ F32 mul(F32 a, F32 b, Context& ctx) {
     return round_and_pack(z_sign, z_exp, z_sig, ctx);
 }
 
-F32 div(F32 a, F32 b, Context& ctx) {
+F32 reference_div(F32 a, F32 b, Context& ctx) {
     std::int32_t a_exp = static_cast<std::int32_t>(a.exponent());
     std::int32_t b_exp = static_cast<std::int32_t>(b.exponent());
     std::uint32_t a_sig = a.fraction();
@@ -409,7 +386,7 @@ F32 div(F32 a, F32 b, Context& ctx) {
     return round_and_pack(z_sign, z_exp, z_sig, ctx);
 }
 
-F32 sqrt(F32 a, Context& ctx) {
+F32 reference_sqrt(F32 a, Context& ctx) {
     std::int32_t a_exp = static_cast<std::int32_t>(a.exponent());
     std::uint32_t a_sig = a.fraction();
 
@@ -441,6 +418,121 @@ F32 sqrt(F32 a, Context& ctx) {
     if (static_cast<std::uint64_t>(z_sig) * z_sig != big) z_sig |= 1;  // sticky
     const std::int32_t z_exp = (e >> 1) + 0x7E;  // arithmetic shift: floor(e/2)
     return round_and_pack(false, z_exp, z_sig, ctx);
+}
+
+}  // namespace detail
+
+// --- Binary64-then-round fast path ----------------------------------------
+//
+// With round-to-nearest-even, normal operands and a result well inside the
+// normal range, add/sub/mul/div/sqrt are computed once in binary64 and
+// rounded once to binary32. Double rounding is innocuous for these five
+// operations when the wide format has p' >= 2p + 2 bits (Figueroa 1995):
+// 53 >= 2 * 24 + 2, so the narrowed value is the correctly rounded binary32
+// result the integer routines produce. Operands are normal and the
+// narrowed result's exponent field is in 2..253, so neither underflow
+// (tininess before rounding needs |result| < 2^-126) nor overflow can
+// occur, and every operand, intermediate and result stays normal: the
+// host's flush-to-zero / denormals-are-zero modes cannot change a result.
+// The only flag the path can raise is inexact, and it comes from an exact
+// binary64 back-check (each back-check product has at most 48 significant
+// bits). Everything else — specials, subnormals, the directed rounding
+// modes, exponent gaps beyond 28 in add/sub, results near either end of the
+// range — takes the integer reference routines in detail::, unchanged.
+// Like the rest of the program, the path assumes the host's default
+// round-to-nearest environment.
+
+static_assert(FLT_EVAL_METHOD == 0,
+              "float and double expressions must evaluate in their own type");
+static_assert(std::numeric_limits<float>::is_iec559 &&
+              std::numeric_limits<double>::is_iec559);
+
+namespace {
+
+[[nodiscard]] double widen(F32 a) {
+    return static_cast<double>(std::bit_cast<float>(a.bits));
+}
+
+[[nodiscard]] bool is_normal(F32 a) { return a.exponent() - 1u < 254u; }
+
+[[nodiscard]] bool fast_operands(F32 a, F32 b, const Context& ctx) {
+    return ctx.rounding == Round::kNearestEven && is_normal(a) && is_normal(b);
+}
+
+/// Round `r` once to binary32; empty unless the result's exponent field is
+/// in 2..253. Checking |r| first keeps the conversion inside float's range.
+[[nodiscard]] std::optional<F32> narrow(double r) {
+    const double m = std::fabs(r);
+    if (!(m >= 0x1p-125 && m < 0x1p127)) return std::nullopt;
+    const F32 z{std::bit_cast<std::uint32_t>(static_cast<float>(r))};
+    if (z.exponent() > 253) return std::nullopt;  // rounded up to 2^127
+    return z;
+}
+
+/// Raise inexact unless the exact back-check `back` reproduces `want`.
+/// Both are nonzero and finite, so they are equal exactly when their bits
+/// are; comparing the bits keeps the flag update branchless (sums of near
+/// operands are exact about half the time, which a branch mispredicts).
+[[nodiscard]] F32 finish(F32 z, double back, double want, Context& ctx) {
+    ctx.raise(static_cast<unsigned>(std::bit_cast<std::uint64_t>(back) !=
+                                    std::bit_cast<std::uint64_t>(want)) *
+              kInexact);
+    return z;
+}
+
+/// The binary64 sum of two normal binary32 values is exact when their
+/// exponents differ by at most 28 (24 + 28 + 1 = 53 significant bits).
+[[nodiscard]] bool exact_sum(F32 a, F32 b) {
+    const auto gap = static_cast<std::int32_t>(a.exponent()) -
+                     static_cast<std::int32_t>(b.exponent());
+    return gap >= -28 && gap <= 28;
+}
+
+}  // namespace
+
+F32 add(F32 a, F32 b, Context& ctx) {
+    if (fast_operands(a, b, ctx) && exact_sum(a, b)) {
+        const double r = widen(a) + widen(b);
+        if (const auto z = narrow(r)) return finish(*z, widen(*z), r, ctx);
+    }
+    return detail::reference_add(a, b, ctx);
+}
+
+F32 sub(F32 a, F32 b, Context& ctx) {
+    if (fast_operands(a, b, ctx) && exact_sum(a, b)) {
+        const double r = widen(a) - widen(b);
+        if (const auto z = narrow(r)) return finish(*z, widen(*z), r, ctx);
+    }
+    return detail::reference_sub(a, b, ctx);
+}
+
+F32 mul(F32 a, F32 b, Context& ctx) {
+    if (fast_operands(a, b, ctx)) {
+        const double r = widen(a) * widen(b);  // exact: 48-bit product
+        if (const auto z = narrow(r)) return finish(*z, widen(*z), r, ctx);
+    }
+    return detail::reference_mul(a, b, ctx);
+}
+
+F32 div(F32 a, F32 b, Context& ctx) {
+    if (fast_operands(a, b, ctx)) {
+        const double x = widen(a);
+        const double y = widen(b);
+        if (const auto z = narrow(x / y))
+            return finish(*z, widen(*z) * y, x, ctx);
+    }
+    return detail::reference_div(a, b, ctx);
+}
+
+F32 sqrt(F32 a, Context& ctx) {
+    if (ctx.rounding == Round::kNearestEven && is_normal(a) && !a.sign()) {
+        // IEEE 754 requires sqrt to be correctly rounded; for a positive
+        // normal operand this is the hardware square-root instruction.
+        const double x = widen(a);
+        if (const auto z = narrow(std::sqrt(x)))
+            return finish(*z, widen(*z) * widen(*z), x, ctx);
+    }
+    return detail::reference_sqrt(a, ctx);
 }
 
 F32 round_to_int(F32 a, Context& ctx) {

@@ -35,9 +35,11 @@ struct Context {
     void clear() { flags = 0; }
 };
 
-/// IEEE-754 binary32 value carried as raw bits. All arithmetic on `F32`
-/// goes through the softfloat routines below — the host FPU is never
-/// involved except in `from_host`/`to_host` bit casts (which are exact).
+/// IEEE-754 binary32 value carried as raw bits. The arithmetic below is
+/// bit-exact IEEE binary32 with explicit flags: add/sub/mul/div/sqrt use
+/// the host FPU in binary64 where that provably rounds the same way
+/// (nearest-even, normal operands and result), and the integer softfloat
+/// routines everywhere else; `from_host`/`to_host` are exact bit casts.
 struct F32 {
     std::uint32_t bits = 0;
 
@@ -110,7 +112,7 @@ struct F32 {
 /// Exact where possible; rounds per ctx otherwise.
 [[nodiscard]] F32 from_i32(std::int32_t v, Context& ctx);
 /// Converts with the context rounding mode; out-of-range or NaN raises
-/// invalid and saturates (NaN -> INT32_MIN, matching RISC-style cores).
+/// invalid and saturates (NaN -> INT32_MAX, matching RISC-style cores).
 [[nodiscard]] std::int32_t to_i32(F32 a, Context& ctx);
 /// Converts with truncation regardless of context mode (C cast semantics).
 [[nodiscard]] std::int32_t to_i32_trunc(F32 a, Context& ctx);

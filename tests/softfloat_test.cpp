@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 
+#include "softfloat/internal.hpp"
 #include "softfloat/softfloat.hpp"
 #include "util/rng.hpp"
 
@@ -550,6 +554,246 @@ TEST(SoftFloatProperties, DirectedRoundingBrackets) {
             << std::hex << "a=0x" << a.bits << " b=0x" << b.bits;
         EXPECT_TRUE(rn.bits == rd.bits || rn.bits == ru.bits);
     }
+}
+
+// --- Binary64 fast path against the integer reference ----------------------
+//
+// add/sub/mul/div/sqrt take an exact binary64 fast path on the host FPU
+// where it provably rounds like the integer routines, and fall back to them
+// elsewhere. These tests hold the public ops to the integer reference
+// (detail::reference_*) bit for bit and flag for flag, concentrating on the
+// fast path's edges: exponent gaps around 28, results around 2^-125 and
+// 2^127, exact and inexact quotients and roots.
+
+using BinaryFn = sf::F32 (*)(sf::F32, sf::F32, sf::Context&);
+
+struct RefOp {
+    const char* name;
+    BinaryFn fast;
+    BinaryFn reference;
+};
+
+const RefOp kRefOps[] = {
+    {"add", &sf::add, &sf::detail::reference_add},
+    {"sub", &sf::sub, &sf::detail::reference_sub},
+    {"mul", &sf::mul, &sf::detail::reference_mul},
+    {"div", &sf::div, &sf::detail::reference_div},
+    {"sqrt", [](sf::F32 a, sf::F32, sf::Context& c) { return sf::sqrt(a, c); },
+     [](sf::F32 a, sf::F32, sf::Context& c) {
+         return sf::detail::reference_sqrt(a, c);
+     }},
+};
+
+/// Counts operand pairs on which the public op and the integer reference
+/// disagree in result bits or flags, and remembers the first one.
+class Differential {
+public:
+    explicit Differential(const RefOp& op) : op_(op) {}
+
+    void check(std::uint32_t a, std::uint32_t b,
+               sf::Round mode = sf::Round::kNearestEven) {
+        sf::Context fast_ctx;
+        sf::Context ref_ctx;
+        fast_ctx.rounding = ref_ctx.rounding = mode;
+        const sf::F32 fast = op_.fast(sf::F32{a}, sf::F32{b}, fast_ctx);
+        const sf::F32 ref = op_.reference(sf::F32{a}, sf::F32{b}, ref_ctx);
+        ++checked_;
+        if (fast == ref && fast_ctx.flags == ref_ctx.flags) return;
+        if (mismatches_++ == 0) {
+            std::ostringstream os;
+            os << std::hex << op_.name << "(0x" << a << ", 0x" << b
+               << ") mode " << static_cast<int>(mode) << ": 0x" << fast.bits
+               << " flags 0x" << fast_ctx.flags << ", reference 0x"
+               << ref.bits << " flags 0x" << ref_ctx.flags;
+            first_ = os.str();
+        }
+    }
+
+    [[nodiscard]] std::uint64_t checked() const { return checked_; }
+    [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+    [[nodiscard]] const std::string& first() const { return first_; }
+
+private:
+    const RefOp& op_;
+    std::uint64_t checked_ = 0;
+    std::uint64_t mismatches_ = 0;
+    std::string first_;
+};
+
+/// A binary32 with the given sign, exponent field and fraction.
+constexpr std::uint32_t f32_bits(bool sign, std::uint32_t exp,
+                                 std::uint32_t frac) {
+    return (sign ? 0x80000000u : 0u) | (exp << 23) | (frac & 0x007FFFFFu);
+}
+
+class SoftFloatFastPathOps : public ::testing::TestWithParam<int> {};
+
+TEST_P(SoftFloatFastPathOps, MatchesReferenceOnTenMillionOperands) {
+    const RefOp& op = kRefOps[GetParam()];
+    Differential diff(op);
+    Rng rng(0xFA57 + static_cast<std::uint64_t>(GetParam()));
+    constexpr int kPairs = 5'000'000;
+    for (int i = 0; i < kPairs; ++i) {
+        // Raw bit patterns: every class, mostly far-apart exponents.
+        diff.check(rng.bits32(), rng.bits32());
+        // Near-exponent pairs: b within 30 binades of a, spanning the
+        // exact-sum bound of 28 and the range ends.
+        const std::uint32_t a = rng.bits32();
+        const std::uint32_t r = rng.bits32();
+        const auto gap = static_cast<std::int32_t>(r % 61) - 30;
+        const std::int32_t eb = std::clamp(
+            static_cast<std::int32_t>((a >> 23) & 0xFF) + gap, 0, 0xFF);
+        diff.check(a, f32_bits((r >> 31) != 0, static_cast<std::uint32_t>(eb),
+                               rng.bits32()));
+    }
+    EXPECT_EQ(diff.checked(), 2u * kPairs);
+    EXPECT_EQ(diff.mismatches(), 0u) << diff.first();
+}
+
+TEST_P(SoftFloatFastPathOps, MatchesReferenceAtRangeEndBinades) {
+    // Sampled mantissas in the lowest and highest normal binades, paired
+    // with partners that keep the result near the ends of the range.
+    const RefOp& op = kRefOps[GetParam()];
+    Differential diff(op);
+    Rng rng(0xED6E + static_cast<std::uint64_t>(GetParam()));
+    for (const std::uint32_t binade : {1u, 2u, 253u, 254u}) {
+        for (int i = 0; i < 100'000; ++i) {
+            const std::uint32_t r = rng.bits32();
+            const std::uint32_t a = f32_bits((r & 1) != 0, binade, rng.bits32());
+            const std::uint32_t partner_exp[] = {binade, 127u, 126u, 128u,
+                                                 255u - binade};
+            const std::uint32_t b = f32_bits((r & 2) != 0, partner_exp[(r >> 2) % 5],
+                                             rng.bits32());
+            diff.check(a, b);
+            diff.check(b, a);
+        }
+    }
+    EXPECT_EQ(diff.mismatches(), 0u) << diff.first();
+}
+
+TEST_P(SoftFloatFastPathOps, DirectedRoundingModesTakeTheReference) {
+    const RefOp& op = kRefOps[GetParam()];
+    Differential diff(op);
+    Rng rng(0xD1 + static_cast<std::uint64_t>(GetParam()));
+    for (const sf::Round mode :
+         {sf::Round::kTowardZero, sf::Round::kDown, sf::Round::kUp}) {
+        for (int i = 0; i < 100'000; ++i)
+            diff.check(rng.bits32(), rng.bits32(), mode);
+    }
+    EXPECT_EQ(diff.mismatches(), 0u) << diff.first();
+}
+
+std::string ref_op_name(const ::testing::TestParamInfo<int>& info) {
+    return kRefOps[info.param].name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOps, SoftFloatFastPathOps, ::testing::Range(0, 5),
+                         ref_op_name);
+
+TEST(SoftFloatFastPath, SqrtExhaustiveAroundOne) {
+    // Every mantissa of binades 126 and 127: [0.5, 2), both exponent
+    // parities of the square root.
+    Differential diff(kRefOps[4]);
+    for (const std::uint32_t binade : {126u, 127u}) {
+        for (std::uint32_t frac = 0; frac < (1u << 23); ++frac)
+            diff.check(f32_bits(false, binade, frac), 0);
+    }
+    EXPECT_EQ(diff.checked(), 2u << 23);
+    EXPECT_EQ(diff.mismatches(), 0u) << diff.first();
+}
+
+struct Expected {
+    std::uint32_t bits;
+    unsigned flags;
+};
+
+/// Public op result, checked against the reference and against `want`.
+void expect_op(const RefOp& op, std::uint32_t a, std::uint32_t b,
+               Expected want) {
+    SCOPED_TRACE(::testing::Message() << std::hex << op.name << "(0x" << a
+                                      << ", 0x" << b << ")");
+    Differential diff(op);
+    diff.check(a, b);
+    EXPECT_EQ(diff.mismatches(), 0u) << diff.first();
+    sf::Context ctx;
+    EXPECT_EQ(op.fast(sf::F32{a}, sf::F32{b}, ctx).bits, want.bits);
+    EXPECT_EQ(ctx.flags, want.flags);
+}
+
+TEST(SoftFloatFastPath, ExponentGapAroundTwentyEight) {
+    const RefOp& add = kRefOps[0];
+    const RefOp& sub = kRefOps[1];
+    const std::uint32_t one_ulp = 0x3F800001u;  // 1 + 2^-23
+    // Gap 28: 1 + 2^-28 * (1 + 2^-23) is exact in binary64, rounds to 1.
+    expect_op(add, 0x3F800000u, f32_bits(false, 127 - 28, 1),
+              {0x3F800000u, sf::kInexact});
+    // Gap 29 goes to the integer path; same answer.
+    expect_op(add, 0x3F800000u, f32_bits(false, 127 - 29, 1),
+              {0x3F800000u, sf::kInexact});
+    // Just above a tie, and just below one across the hidden bit.
+    expect_op(add, one_ulp, f32_bits(false, 127 - 24, 1),
+              {0x3F800002u, sf::kInexact});
+    expect_op(sub, 0x3F800000u, f32_bits(false, 127 - 25, 1),
+              {0x3F7FFFFFu, sf::kInexact});
+    expect_op(sub, 0x3F800000u, f32_bits(false, 127 - 28, 0),
+              {0x3F800000u, sf::kInexact});
+    expect_op(sub, 0x3F800000u, f32_bits(false, 127 - 29, 0),
+              {0x3F800000u, sf::kInexact});
+    // Exact small-gap sum: 1.5 + 0.25.
+    expect_op(add, 0x3FC00000u, 0x3E800000u, {0x3FE00000u, 0});
+}
+
+TEST(SoftFloatFastPath, ResultsAroundTheRangeEnds) {
+    const RefOp& mul = kRefOps[2];
+    const RefOp& div = kRefOps[3];
+    const std::uint32_t two = 0x40000000u;
+    const std::uint32_t just_below_one = 0x3F7FFFFFu;
+    // 2^-125 is the smallest fast-path result (exponent field 2).
+    expect_op(mul, f32_bits(false, 1, 0), two, {f32_bits(false, 2, 0), 0});
+    // Just below 2^-125: exponent field 1, still normal, integer path.
+    expect_op(mul, f32_bits(false, 2, 0), just_below_one,
+              {f32_bits(false, 1, 0x7FFFFF), 0});
+    // Rounds to 2^-126 from above: inexact but not tiny.
+    expect_op(mul, f32_bits(false, 1, 1), just_below_one,
+              {0x00800000u, sf::kInexact});
+    // Rounds to 2^-126 from below: tiny before rounding, so it underflows.
+    expect_op(mul, f32_bits(false, 1, 0), just_below_one,
+              {0x00800000u, sf::kInexact | sf::kUnderflow});
+    expect_op(div, f32_bits(false, 1, 0), 0x40400000u,  // 2^-126 / 3
+              {0x002AAAABu, sf::kInexact | sf::kUnderflow});
+    // 2^126 * (2 - 2^-23) is the largest fast-path binade (field 253).
+    expect_op(mul, f32_bits(false, 127, 0x7FFFFF), f32_bits(false, 253, 0),
+              {f32_bits(false, 253, 0x7FFFFF), 0});
+    // 2^127: exponent field 254, integer path.
+    expect_op(mul, f32_bits(false, 253, 0), two, {f32_bits(false, 254, 0), 0});
+    // Past the largest finite value: overflow to infinity.
+    expect_op(mul, 0x7F7FFFFFu, two,
+              {0x7F800000u, sf::kOverflow | sf::kInexact});
+    expect_op(kRefOps[0], 0x7F7FFFFFu, f32_bits(false, 254 - 24, 0),
+              {0x7F800000u, sf::kOverflow | sf::kInexact});
+}
+
+TEST(SoftFloatFastPath, SelfSubtractionIsPositiveZero) {
+    for (const std::uint32_t x : {0x3FC00000u, 0xC2F60000u, 0x00800000u,
+                                  0x7F7FFFFFu, 0x12345678u}) {
+        expect_op(kRefOps[1], x, x, {0u, 0});
+        expect_op(kRefOps[0], x, x ^ 0x80000000u, {0u, 0});
+    }
+}
+
+TEST(SoftFloatFastPath, ExactAndInexactQuotientsAndRoots) {
+    const RefOp& div = kRefOps[3];
+    const RefOp& sqrt = kRefOps[4];
+    expect_op(div, 0x40C00000u, 0x40400000u, {0x40000000u, 0});  // 6 / 3
+    expect_op(div, 0x3F800000u, 0x40400000u,                     // 1 / 3
+              {0x3EAAAAABu, sf::kInexact});
+    expect_op(div, 0x3F800000u, 0x3E000000u, {0x41000000u, 0});  // 1 / 0.125
+    expect_op(sqrt, 0x40800000u, 0, {0x40000000u, 0});           // sqrt 4
+    expect_op(sqrt, 0x40000000u, 0, {0x3FB504F3u, sf::kInexact}); // sqrt 2
+    // (1 + 2^-11)^2 = 1 + 2^-10 + 2^-22 is a binary32; its root is exact.
+    expect_op(sqrt, 0x3F802002u, 0, {0x3F801000u, 0});
+    // Its neighbour's root is not.
+    expect_op(sqrt, 0x3F802003u, 0, {0x3F801000u, sf::kInexact});
 }
 
 }  // namespace
