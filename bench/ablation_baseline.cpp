@@ -12,7 +12,6 @@
 #include "core/boresight_ekf.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario.hpp"
-#include "system/experiment.hpp"
 
 namespace {
 
@@ -52,7 +51,7 @@ int main() {
     double next_report = 30.0;
     double ekf_final = 0.0, batch_final = 0.0;
     while (auto s = sc.next()) {
-        const auto d = system::decode_step(sc, *s);
+        const auto d = sim::decode_step(sc, *s);
         (void)ekf.step(d.f_body, d.acc_xy);
         batch.add(d.f_body, d.acc_xy);
         if (s->t >= next_report) {
@@ -90,7 +89,7 @@ int main() {
             sc2.bump(EulerAngles::from_deg(0.0, 1.0, 0.0));
             bumped = true;
         }
-        const auto d = system::decode_step(sc2, *s);
+        const auto d = sim::decode_step(sc2, *s);
         (void)ekf2.step(d.f_body, d.acc_xy);
         batch2.add(d.f_body, d.acc_xy);
     }

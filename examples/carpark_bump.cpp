@@ -11,7 +11,6 @@
 #include "core/boresight_ekf.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario_library.hpp"
-#include "system/experiment.hpp"
 #include "util/ascii_plot.hpp"
 
 using namespace ob;
@@ -43,7 +42,7 @@ int main() {
                         math::rad2deg(bump.roll), math::rad2deg(bump.pitch),
                         math::rad2deg(bump.yaw));
         }
-        const auto d = system::decode_step(sc, *s);
+        const auto d = sim::decode_step(sc, *s);
         (void)ekf.step(d.f_body, d.acc_xy);
         batch.add(d.f_body, d.acc_xy);
         pitch_trace.push_back(math::rad2deg(ekf.misalignment().pitch));

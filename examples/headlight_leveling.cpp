@@ -13,7 +13,6 @@
 #include "core/boresight_ekf.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario_library.hpp"
-#include "system/experiment.hpp"
 
 using namespace ob;
 using math::EulerAngles;
@@ -38,7 +37,7 @@ int main() {
                 "verdict");
     double detected_at = -1.0;
     while (auto s = sc.next()) {
-        const auto d = system::decode_step(sc, *s);
+        const auto d = sim::decode_step(sc, *s);
         (void)ekf.step(d.f_body, d.acc_xy);
         const double pitch = rad2deg(ekf.misalignment().pitch);
         const double s3 = rad2deg(ekf.misalignment_sigma3()[1]);

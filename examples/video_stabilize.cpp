@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "math/rotation.hpp"
-#include "system/experiment.hpp"
+#include "system/fleet.hpp"
 #include "util/artifacts.hpp"
 #include "video/affine.hpp"
 #include "video/video_system.hpp"
@@ -21,14 +21,14 @@ int main() {
     const double focal_px = 300.0;
 
     // --- Estimate the misalignment from inertial data (no vision used).
-    system::ExperimentConfig cfg;
-    cfg.label = "video demo";
-    cfg.scenario = sim::ScenarioConfig::static_tilted(
-        300.0, truth, math::EulerAngles::from_deg(12.0, 8.0, 0.0));
-    cfg.sensor_seed = 7;
-    cfg.filter.meas_noise_mps2 = 0.0075;
-    const auto outcome = system::run_experiment(cfg);
-    const math::EulerAngles est = outcome.result.estimate;
+    system::FleetJob job;
+    job.scenario = "static-tilted";
+    job.base_seed = 7;
+    job.duration_s = 300.0;
+    job.misalignment = truth;
+    job.calibration = system::FleetCalibration{60.0};
+    const math::EulerAngles est =
+        system::run_fleet_job(job).primary().result.estimate;
     std::printf("estimated misalignment: roll %+0.3f pitch %+0.3f yaw %+0.3f "
                 "deg (truth %+0.1f %+0.1f %+0.1f)\n",
                 math::rad2deg(est.roll), math::rad2deg(est.pitch),

@@ -1,6 +1,7 @@
 #include "core/adaptive_tuner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,10 @@ void AdaptiveTunerConfig::validate() const {
     };
     // All comparisons are in the negated `!(good)` form so a NaN knob
     // fails loudly instead of slipping through an ordinary `<`.
+    for (const double knob : {floor_mps2, ceiling_mps2, raise_threshold,
+                              lower_threshold, raise_factor, lower_factor}) {
+        if (!std::isfinite(knob)) fail("every knob must be finite");
+    }
     if (!(floor_mps2 > 0.0)) fail("noise floor must be positive");
     if (!(ceiling_mps2 >= floor_mps2))
         fail("ceiling must be at or above floor");

@@ -102,4 +102,16 @@ bool Scenario::next_wire(double& t, comm::DmuSample& dmu,
     return true;
 }
 
+DecodedMeasurement decode_step(const Scenario& sc,
+                               const Scenario::Step& step) {
+    DecodedMeasurement out;
+    for (std::size_t i = 0; i < 3; ++i) {
+        out.f_body[i] = sc.dmu_scale().raw_to_accel(step.dmu.accel[i]);
+        out.omega[i] = sc.dmu_scale().raw_to_rate(step.dmu.gyro[i]);
+    }
+    const auto [ax, ay] = comm::adxl_decode(step.adxl, sc.adxl_config());
+    out.acc_xy = math::Vec2{ax, ay};
+    return out;
+}
+
 }  // namespace ob::sim

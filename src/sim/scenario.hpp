@@ -134,4 +134,15 @@ private:
     std::size_t step_ = 0;
 };
 
+/// One scenario step decoded into SI units the way the deployed firmware
+/// would (DMU register scaling + ADXL duty-cycle law), with no transport
+/// in between.
+struct DecodedMeasurement {
+    math::Vec3 f_body{};
+    math::Vec3 omega{};  ///< gyro-measured body rate (rad/s)
+    math::Vec2 acc_xy{};
+};
+[[nodiscard]] DecodedMeasurement decode_step(const Scenario& sc,
+                                             const Scenario::Step& step);
+
 }  // namespace ob::sim

@@ -206,6 +206,7 @@ void BoresightSystem::process_pair(const comm::DmuSample& dmu,
             sabre_->push(dmu, acc);
         }
         const auto est = sabre_->run_pending();
+        last_update_ = {est.residual, est.innov_sigma3};
         // A tuner recommendation lands in the firmware's writable R
         // register and takes effect from its next update.
         const double rec = tail_.update(est.residual, est.innov_sigma3, dmu.t,
@@ -219,6 +220,7 @@ void BoresightSystem::process_pair(const comm::DmuSample& dmu,
     const auto [ax, ay] = comm::adxl_decode(acc, adxl_);
     const Vec2 z = Vec2{ax, ay} - cfg_.calibrated_bias;
     const auto up = native_->step(f_body, z);
+    last_update_ = {up.residual, up.sigma3};
     const double rec = tail_.update(up.residual, up.sigma3, dmu.t,
                                     native_->measurement_noise());
     if (rec > 0.0) native_->set_measurement_noise(rec);

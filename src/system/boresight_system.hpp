@@ -26,10 +26,11 @@ namespace ob::system {
 ///                                 |
 ///                     roll/pitch/yaw + 3-sigma out
 ///
-/// Unlike the transport-free `run_experiment` harness, every sensor sample
-/// crosses the byte-level links with realistic latency, and the fusion
-/// step runs only when both halves of an epoch have fully arrived —
-/// exactly the situation the deployed prototype faced.
+/// Every sensor sample crosses the byte-level links with realistic
+/// latency, and the fusion step runs only when both halves of an epoch
+/// have fully arrived — exactly the situation the deployed prototype
+/// faced. The paper's Table 1 and Figures 8–9 run through this system
+/// (via run_fleet_job), on either fusion processor.
 class BoresightSystem {
 public:
     enum class Processor {
@@ -109,6 +110,16 @@ public:
     /// status.
     [[nodiscard]] math::EulerAngles estimate() const;
 
+    /// Residual and innovation 3σ of the latest fusion update — the pair
+    /// FusionTail::update saw; zero before the first update.
+    struct FusionUpdate {
+        math::Vec2 residual{};  ///< m/s²
+        math::Vec2 sigma3{};
+    };
+    [[nodiscard]] const FusionUpdate& last_update() const {
+        return last_update_;
+    }
+
     /// Swap both serial links' fault models mid-run (outage/recovery
     /// drills). The links' fault draws are counter-keyed on byte index, so
     /// the swap is position-independent: the same epochs fault whether the
@@ -159,6 +170,7 @@ private:
     /// native path grows the EKF covariance directly instead.
     double coast_var_ = 0.0;
     std::size_t updates_ = 0;
+    FusionUpdate last_update_{};
     /// True when a nonzero calibrated bias must be folded into the raw ACC
     /// timings before the Sabre firmware sees them (the native EKF path
     /// subtracts the bias on the decoded measurement directly).

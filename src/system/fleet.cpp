@@ -11,13 +11,13 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "core/calibration.hpp"
 #include "sim/ensemble_realizer.hpp"
 #include "sim/scenario_trace.hpp"
 #include "sim/sensor_fault.hpp"
 #include "system/ensemble_runner.hpp"
-#include "system/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace ob::system {
@@ -112,7 +112,7 @@ void calibrate(const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
     core::CalibrationAccumulator accum;
     sim::Scenario::Step step;
     while (cal.next_into(step)) {
-        const auto d = decode_step(cal, step);
+        const auto d = sim::decode_step(cal, step);
         accum.add(d.f_body, d.acc_xy);
     }
     out.calibrated_bias = accum.bias();
@@ -217,14 +217,20 @@ private:
     bool bumped_ = false;
 };
 
+/// The epoch observer of every run without one: compiles to nothing, so
+/// the runner's epoch loop carries no per-epoch hook.
+constexpr auto kNoObserver = [](double, const BoresightSystem&) {};
+
 /// Execute one Monte Carlo realization of a job over the shared traces.
 /// This is the Realize layer: per-seed instrument realization + transport
 /// + fusion + envelope scoring, consuming (never mutating) the trace.
+/// `observe(t, sys)` runs after every feed.
+template <class Observe = decltype(kNoObserver)>
 [[nodiscard]] FleetSeedResult run_fleet_seed(
     const FleetJob& job, const sim::ScenarioSpec& spec,
     const std::shared_ptr<const sim::ScenarioTrace>& trace,
     const std::shared_ptr<const sim::ScenarioTrace>& cal_trace,
-    std::uint64_t seed_index) {
+    std::uint64_t seed_index, const Observe& observe = kNoObserver) {
     const std::uint64_t sensor_seed =
         fleet_sub_seed(job_sensor_stream(job), seed_index);
     sim::Scenario sc(trace, job_truth(job, spec), sensor_seed);
@@ -296,6 +302,7 @@ private:
     comm::AdxlTiming adxl;
     while (sc.next_wire(t, dmu, adxl)) {
         sys.feed(sc.trace(), t, dmu, adxl);
+        observe(t, std::as_const(sys));
         ++epochs;
         if (scorer.checked(t)) {
             scorer.score(out, t, sys.estimate(), sc.true_misalignment());
@@ -603,9 +610,10 @@ void FleetFault::validate() const {
 }
 
 void FleetCalibration::validate() const {
-    if (!(duration_s > 0.0)) {
+    if (!std::isfinite(duration_s) || duration_s <= 0.0) {
         throw std::invalid_argument(
-            "FleetCalibration: level-platform dwell must be positive");
+            "FleetCalibration: level-platform dwell must be positive and "
+            "finite");
     }
 }
 
@@ -617,11 +625,18 @@ void FleetJob::validate() const {
         throw std::invalid_argument("FleetJob: unknown scenario '" + scenario +
                                     "'");
     }
-    if (duration_s < 0.0) {
+    if (!std::isfinite(duration_s) || duration_s < 0.0) {
         throw std::invalid_argument(
-            "FleetJob: duration override must be non-negative");
+            "FleetJob: duration override must be non-negative and finite");
     }
     if (misalignment) {
+        // Per axis first: std::max below would drop a NaN operand.
+        if (!std::isfinite(misalignment->roll) ||
+            !std::isfinite(misalignment->pitch) ||
+            !std::isfinite(misalignment->yaw)) {
+            throw std::invalid_argument(
+                "FleetJob: misalignment override must be finite");
+        }
         const double worst =
             std::max({std::abs(misalignment->roll), std::abs(misalignment->pitch),
                       std::abs(misalignment->yaw)});
@@ -641,9 +656,10 @@ void FleetJob::validate() const {
         }
         tuner->validate();
     }
-    if (meas_noise_mps2 && !(*meas_noise_mps2 > 0.0)) {
+    if (meas_noise_mps2 &&
+        (!std::isfinite(*meas_noise_mps2) || *meas_noise_mps2 <= 0.0)) {
         throw std::invalid_argument(
-            "FleetJob: measurement-noise override must be positive");
+            "FleetJob: measurement-noise override must be positive and finite");
     }
     if (fault) fault->validate();
     if (seeds_per_job == 0) {
@@ -658,7 +674,8 @@ void FleetJob::validate() const {
     }
 }
 
-FleetResult run_fleet_job(const FleetJob& job) {
+FleetResult run_fleet_job(const FleetJob& job,
+                          const FleetEpochObserver& observe) {
     job.validate();
     const auto& spec = sim::ScenarioLibrary::instance().at(job.scenario);
 
@@ -677,7 +694,9 @@ FleetResult run_fleet_job(const FleetJob& job) {
     std::vector<FleetSeedResult> seeds;
     seeds.reserve(job.seeds_per_job);
     for (std::uint64_t k = 0; k < job.seeds_per_job; ++k) {
-        seeds.push_back(run_fleet_seed(job, spec, trace, cal_trace, k));
+        seeds.push_back(
+            observe ? run_fleet_seed(job, spec, trace, cal_trace, k, observe)
+                    : run_fleet_seed(job, spec, trace, cal_trace, k));
     }
     return reduce_fleet_job(job, std::move(seeds));
 }

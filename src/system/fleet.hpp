@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,7 +79,7 @@ struct FleetFault {
 struct FleetCalibration {
     double duration_s = 30.0;  ///< level-platform dwell before the run
 
-    /// Throws std::invalid_argument on a non-positive dwell.
+    /// Throws std::invalid_argument on a non-positive or non-finite dwell.
     void validate() const;
 };
 
@@ -120,10 +121,10 @@ struct FleetJob {
     std::optional<FleetFault> fault{};
 
     /// Throws std::invalid_argument on an empty/unknown scenario, a
-    /// negative duration override, a misalignment override outside the
-    /// small-angle regime, bad calibration/tuner specs, a non-positive
-    /// measurement-noise override, or a seed count of zero / beyond
-    /// kFleetMaxSeedsPerJob.
+    /// non-finite f64 anywhere in the job, a negative duration override, a
+    /// misalignment override outside the small-angle regime, bad
+    /// calibration/tuner/fault specs, a non-positive measurement-noise
+    /// override, or a seed count of zero / beyond kFleetMaxSeedsPerJob.
     void validate() const;
 };
 
@@ -208,9 +209,19 @@ struct FleetResult {
     }
 };
 
+/// Per-epoch hook of run_fleet_job: called after every `feed` with the
+/// epoch's time and the system, realization by realization in seed order.
+/// The paper's figures record their histories through it; it only reads,
+/// so the result is the same with or without one.
+using FleetEpochObserver =
+    std::function<void(double t, const BoresightSystem& sys)>;
+
 /// Execute one job serially. This is the reference semantics: FleetRunner
 /// must produce, for every job, a result bitwise identical to this call.
-[[nodiscard]] FleetResult run_fleet_job(const FleetJob& job);
+/// FleetRunner never takes an observer; without one, this call's epoch
+/// loop is FleetRunner's.
+[[nodiscard]] FleetResult run_fleet_job(
+    const FleetJob& job, const FleetEpochObserver& observe = {});
 
 /// Fold a job's seed ensemble (seed-index order, size == seeds_per_job)
 /// into its FleetResult; the ensemble summary accumulates in seed order.

@@ -15,8 +15,11 @@ void apply_overrides(FleetJob& job, const FleetRequest& req) {
     if (req.base_seed != 0) job.base_seed = req.base_seed;
     job.seeds_per_job = req.seeds_per_job == 0 ? 1 : req.seeds_per_job;
     job.use_adaptive_tuner = req.use_adaptive_tuner;
-    if (req.duration_s > 0.0) job.duration_s = req.duration_s;
-    if (req.meas_noise_mps2 > 0.0) job.meas_noise_mps2 = req.meas_noise_mps2;
+    // Only 0 means "the spec's value": anything else reaches
+    // FleetJob::validate, so a negative or non-finite override is refused
+    // with kBadRequest instead of silently running the default.
+    if (req.duration_s != 0.0) job.duration_s = req.duration_s;
+    if (req.meas_noise_mps2 != 0.0) job.meas_noise_mps2 = req.meas_noise_mps2;
 }
 
 [[nodiscard]] std::vector<BoresightSystem::Processor> processors_of(

@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "math/rotation.hpp"
-#include "sim/scenario.hpp"
-#include "sim/trajectory.hpp"
 #include "system/boresight_system.hpp"
-#include "system/experiment.hpp"
 #include "system/fleet.hpp"
 
 // Error paths for every configuration struct an operator can get wrong:
@@ -122,80 +123,80 @@ TEST(BoresightSystemConfigValidation, RejectsBadSupervisor) {
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
-// --- ExperimentConfig -------------------------------------------------------
-
-system::ExperimentConfig valid_experiment_config() {
-    system::ExperimentConfig cfg;
-    cfg.scenario = sim::ScenarioConfig::static_level(
-        10.0, EulerAngles::from_deg(1.0, 1.0, 0.0));
-    cfg.calibration_duration_s = 5.0;
-    return cfg;
-}
-
-TEST(ExperimentConfigValidation, ValidConfigPasses) {
-    EXPECT_NO_THROW(valid_experiment_config().validate());
-}
-
-TEST(ExperimentConfigValidation, RejectsEmptyLabel) {
-    auto cfg = valid_experiment_config();
-    cfg.label.clear();
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(ExperimentConfigValidation, RejectsEmptyScenario) {
-    auto cfg = valid_experiment_config();
-    cfg.scenario.profile = nullptr;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    EXPECT_THROW((void)system::run_experiment(cfg), std::invalid_argument);
-}
-
-TEST(ExperimentConfigValidation, RejectsNonPositiveScenarioDuration) {
-    auto cfg = valid_experiment_config();
-    cfg.scenario.profile =
-        std::make_shared<sim::StaticProfile>(EulerAngles{}, -5.0);
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(ExperimentConfigValidation, RejectsNonPositiveSampleRate) {
-    auto cfg = valid_experiment_config();
-    cfg.scenario.sample_rate_hz = 0.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(ExperimentConfigValidation, RejectsNonPositiveCalibrationDuration) {
-    auto cfg = valid_experiment_config();
-    cfg.calibration_duration_s = -60.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    // ...but an uncalibrated run never reads the field.
-    cfg.calibrate = false;
-    EXPECT_NO_THROW(cfg.validate());
-}
-
-TEST(ExperimentConfigValidation, RejectsBadFilterTuning) {
-    auto cfg = valid_experiment_config();
-    cfg.filter.meas_noise_mps2 = 0.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg = valid_experiment_config();
-    cfg.filter.angle_process_noise = -1.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg = valid_experiment_config();
-    cfg.filter.init_angle_sigma = 0.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(ExperimentConfigValidation, RejectsBadTunerWhenEnabled) {
-    auto cfg = valid_experiment_config();
-    cfg.tuner.floor_mps2 = 0.0;
-    EXPECT_NO_THROW(cfg.validate());  // tuner off: field unused
-    cfg.use_adaptive_tuner = true;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
 // --- FleetJob ---------------------------------------------------------------
 
 TEST(FleetJobValidation, RejectsEmptyScenario) {
     system::FleetJob job;
     EXPECT_THROW(job.validate(), std::invalid_argument);
+    EXPECT_THROW((void)system::run_fleet_job(job), std::invalid_argument);
+}
+
+TEST(FleetJobValidation, PaperRowPasses) {
+    // The shape of a Table 1 / Figure 8 row: a calibrated 300 s run with
+    // an injected truth, a noise override and the adaptive tuner.
+    system::FleetJob job;
+    job.scenario = "city-drive";
+    job.duration_s = 300.0;
+    job.misalignment = EulerAngles::from_deg(1.2, -0.8, 1.5);
+    job.calibration = system::FleetCalibration{60.0};
+    job.meas_noise_mps2 = 0.003;
+    job.use_adaptive_tuner = true;
+    EXPECT_NO_THROW(job.validate());
+}
+
+TEST(FleetJobValidation, RejectsNonFiniteFields) {
+    // Every f64 a job carries, set to each non-finite value: a NaN slips
+    // through an ordinary `<` and an infinity through a sign check, and
+    // either would run (or hang) instead of failing here.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto base = [] {
+        system::FleetJob job;
+        job.scenario = "city-drive";
+        job.misalignment = EulerAngles{};
+        job.calibration = system::FleetCalibration{};
+        job.use_adaptive_tuner = true;
+        job.tuner = ob::core::AdaptiveTunerConfig{};
+        job.meas_noise_mps2 = 0.02;
+        job.fault = system::FleetFault{};
+        return job;
+    };
+    ASSERT_NO_THROW(base().validate());
+    using Set = std::function<void(system::FleetJob&, double)>;
+    const std::vector<std::pair<std::string, Set>> fields = {
+        {"duration_s", [](auto& j, double v) { j.duration_s = v; }},
+        {"misalignment.roll",
+         [](auto& j, double v) { j.misalignment->roll = v; }},
+        {"misalignment.pitch",
+         [](auto& j, double v) { j.misalignment->pitch = v; }},
+        {"misalignment.yaw",
+         [](auto& j, double v) { j.misalignment->yaw = v; }},
+        {"calibration.duration_s",
+         [](auto& j, double v) { j.calibration->duration_s = v; }},
+        {"meas_noise_mps2", [](auto& j, double v) { j.meas_noise_mps2 = v; }},
+        {"fault.intensity",
+         [](auto& j, double v) { j.fault->intensity = v; }},
+        {"tuner.floor_mps2",
+         [](auto& j, double v) { j.tuner->floor_mps2 = v; }},
+        {"tuner.ceiling_mps2",
+         [](auto& j, double v) { j.tuner->ceiling_mps2 = v; }},
+        {"tuner.raise_threshold",
+         [](auto& j, double v) { j.tuner->raise_threshold = v; }},
+        {"tuner.lower_threshold",
+         [](auto& j, double v) { j.tuner->lower_threshold = v; }},
+        {"tuner.raise_factor",
+         [](auto& j, double v) { j.tuner->raise_factor = v; }},
+        {"tuner.lower_factor",
+         [](auto& j, double v) { j.tuner->lower_factor = v; }},
+    };
+    for (const auto& [name, set] : fields) {
+        for (const double v : {nan, inf, -inf}) {
+            auto job = base();
+            set(job, v);
+            EXPECT_THROW(job.validate(), std::invalid_argument)
+                << name << " = " << v;
+        }
+    }
 }
 
 TEST(FleetJobValidation, RejectsUnknownScenario) {
@@ -305,6 +306,75 @@ TEST(FleetJobValidation, RejectsNonPositiveMeasurementNoiseOverride) {
     job.meas_noise_mps2 = -0.01;
     EXPECT_THROW(job.validate(), std::invalid_argument);
     job.meas_noise_mps2 = 0.0075;
+    EXPECT_NO_THROW(job.validate());
+}
+
+// --- Paper experiment rows ---------------------------------------------------
+//
+// Table 1 and Figures 8-9 run each experiment as a FleetJob of one shape: a
+// calibrated 300 s run with an injected truth. Each field such a row sets
+// must be gated by the job's validation, so a bad row fails before it runs.
+
+system::FleetJob paper_experiment_job() {
+    system::FleetJob job;
+    job.scenario = "static-level";
+    job.duration_s = 300.0;
+    job.misalignment = EulerAngles::from_deg(1.0, -0.5, 2.0);
+    job.calibration = system::FleetCalibration{60.0};
+    job.meas_noise_mps2 = 0.003;
+    return job;
+}
+
+TEST(ExperimentConfigValidation, RejectsEmptyScenario) {
+    auto job = paper_experiment_job();
+    ASSERT_NO_THROW(job.validate());
+    job.scenario.clear();
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    EXPECT_THROW((void)system::run_fleet_job(job), std::invalid_argument);
+}
+
+TEST(ExperimentConfigValidation, RejectsNonPositiveScenarioDuration) {
+    auto job = paper_experiment_job();
+    job.duration_s = -5.0;
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    EXPECT_THROW((void)system::run_fleet_job(job), std::invalid_argument);
+    job.duration_s = -std::numeric_limits<double>::infinity();
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+}
+
+TEST(ExperimentConfigValidation, RejectsNonPositiveCalibrationDuration) {
+    auto job = paper_experiment_job();
+    job.calibration = system::FleetCalibration{-60.0};
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    job.calibration = system::FleetCalibration{0.0};
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    // ...but an uncalibrated run has no dwell to check.
+    job.calibration.reset();
+    EXPECT_NO_THROW(job.validate());
+}
+
+TEST(ExperimentConfigValidation, RejectsBadFilterTuning) {
+    // A row's filter knob is its measurement-noise override; process noise
+    // and initial sigmas are BoresightSystem::Config knobs (tested above).
+    auto job = paper_experiment_job();
+    job.meas_noise_mps2 = 0.0;
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    job.meas_noise_mps2 = -0.003;
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    job.meas_noise_mps2 = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    job.meas_noise_mps2.reset();  // absent => the spec's recommended value
+    EXPECT_NO_THROW(job.validate());
+}
+
+TEST(ExperimentConfigValidation, RejectsBadTunerWhenEnabled) {
+    auto job = paper_experiment_job();
+    job.use_adaptive_tuner = true;
+    EXPECT_NO_THROW(job.validate());  // enabled with the default knobs
+    job.tuner = ob::core::AdaptiveTunerConfig{};
+    job.tuner->floor_mps2 = 0.0;
+    EXPECT_THROW(job.validate(), std::invalid_argument);
+    job.tuner = ob::core::AdaptiveTunerConfig{};
     EXPECT_NO_THROW(job.validate());
 }
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -283,6 +284,23 @@ TEST_F(ServeEndToEnd, UnknownScenarioAnswersWithTheRightCode) {
     }
     // The session survives a rejected request.
     EXPECT_EQ(client.ping(7u), 7u);
+    client.goodbye();
+}
+
+TEST_F(ServeEndToEnd, NonFiniteDurationAnswersBadRequest) {
+    auto client = system::FleetServeClient::connect(cfg_.socket_path);
+    system::FleetRequest req;
+    req.scenario = "static-level";
+    req.duration_s = std::numeric_limits<double>::quiet_NaN();
+    try {
+        (void)client.run_fleet(req);
+        FAIL() << "expected FleetServeError";
+    } catch (const system::FleetServeError& e) {
+        EXPECT_EQ(e.code(), system::ErrorCode::kBadRequest);
+        EXPECT_NE(std::string(e.what()).find("duration"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(client.ping(9u), 9u);
     client.goodbye();
 }
 

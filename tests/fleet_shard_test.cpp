@@ -11,8 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "core/adaptive_tuner.hpp"
+#include "math/rotation.hpp"
 #include "system/fleet.hpp"
 #include "system/fleet_shard.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -37,6 +40,28 @@ using system::FleetShardArtifact;
     c.duration_s = 25.0;
     c.use_adaptive_tuner = true;
     return {a, b, c};
+}
+
+// Table 1's shape, shortened: calibrated, misaligned jobs on both
+// processors, one of them with a seed ensemble so the batched path runs
+// its per-lane calibration too.
+[[nodiscard]] std::vector<FleetJob> calibrated_batch() {
+    std::vector<FleetJob> jobs;
+    for (const auto processor : {system::BoresightSystem::Processor::kNative,
+                                 system::BoresightSystem::Processor::kSabre}) {
+        for (const char* scenario : {"static-tilted", "city-drive"}) {
+            FleetJob job;
+            job.scenario = scenario;
+            job.processor = processor;
+            job.base_seed = 21;
+            job.duration_s = 20.0;
+            job.misalignment = math::EulerAngles::from_deg(1.2, -0.8, 1.5);
+            job.calibration = system::FleetCalibration{5.0};
+            jobs.push_back(job);
+        }
+    }
+    jobs[1].seeds_per_job = 3;
+    return jobs;
 }
 
 [[nodiscard]] std::string expect_throw_message(
@@ -90,6 +115,70 @@ TEST(ShardArtifact, EncodeDecodeRoundTrip) {
     EXPECT_EQ(system::encode_shard_artifact(back), bytes);
     EXPECT_EQ(back.plan_digest, artifact.plan_digest);
     EXPECT_EQ(back.results.size(), artifact.results.size());
+}
+
+TEST(ShardArtifact, JobCodecRoundTripsEveryOptionalField) {
+    // Every optional set, every value off its default: the plan digest and
+    // the artifact header both rest on this codec.
+    FleetJob job;
+    job.scenario = "city-drive";
+    job.processor = system::BoresightSystem::Processor::kSabre;
+    job.base_seed = 0x0123456789ABCDEFull;
+    job.duration_s = 123.25;
+    job.misalignment = math::EulerAngles::from_deg(1.2, -0.8, 1.5);
+    job.calibration = system::FleetCalibration{45.5};
+    job.use_adaptive_tuner = true;
+    job.tuner = core::AdaptiveTunerConfig{.floor_mps2 = 0.004,
+                                          .ceiling_mps2 = 0.2,
+                                          .raise_threshold = 0.03,
+                                          .lower_threshold = 2e-4,
+                                          .raise_factor = 1.25,
+                                          .lower_factor = 0.8,
+                                          .window = 777,
+                                          .min_samples = 333};
+    job.meas_noise_mps2 = 0.0125;
+    job.seeds_per_job = 3;
+    job.fault = system::FleetFault{.type = system::FaultType::kCanBurstLoss,
+                                   .intensity = 0.125,
+                                   .burst_frames = 5};
+
+    util::ByteWriter w;
+    system::encode_fleet_job(w, job);
+    util::ByteReader r(w.data().data(), w.size());
+    const FleetJob back = system::decode_fleet_job(r);
+    EXPECT_NO_THROW(r.expect_end());
+
+    EXPECT_EQ(back.scenario, job.scenario);
+    EXPECT_EQ(back.processor, job.processor);
+    EXPECT_EQ(back.base_seed, job.base_seed);
+    EXPECT_EQ(back.duration_s, job.duration_s);
+    ASSERT_TRUE(back.misalignment.has_value());
+    EXPECT_EQ(back.misalignment->roll, job.misalignment->roll);
+    EXPECT_EQ(back.misalignment->pitch, job.misalignment->pitch);
+    EXPECT_EQ(back.misalignment->yaw, job.misalignment->yaw);
+    ASSERT_TRUE(back.calibration.has_value());
+    EXPECT_EQ(back.calibration->duration_s, job.calibration->duration_s);
+    EXPECT_EQ(back.use_adaptive_tuner, job.use_adaptive_tuner);
+    ASSERT_TRUE(back.tuner.has_value());
+    EXPECT_EQ(back.tuner->floor_mps2, job.tuner->floor_mps2);
+    EXPECT_EQ(back.tuner->ceiling_mps2, job.tuner->ceiling_mps2);
+    EXPECT_EQ(back.tuner->raise_threshold, job.tuner->raise_threshold);
+    EXPECT_EQ(back.tuner->lower_threshold, job.tuner->lower_threshold);
+    EXPECT_EQ(back.tuner->raise_factor, job.tuner->raise_factor);
+    EXPECT_EQ(back.tuner->lower_factor, job.tuner->lower_factor);
+    EXPECT_EQ(back.tuner->window, job.tuner->window);
+    EXPECT_EQ(back.tuner->min_samples, job.tuner->min_samples);
+    ASSERT_TRUE(back.meas_noise_mps2.has_value());
+    EXPECT_EQ(*back.meas_noise_mps2, *job.meas_noise_mps2);
+    EXPECT_EQ(back.seeds_per_job, job.seeds_per_job);
+    ASSERT_TRUE(back.fault.has_value());
+    EXPECT_EQ(back.fault->type, job.fault->type);
+    EXPECT_EQ(back.fault->intensity, job.fault->intensity);
+    EXPECT_EQ(back.fault->burst_frames, job.fault->burst_frames);
+
+    util::ByteWriter again;
+    system::encode_fleet_job(again, back);
+    EXPECT_EQ(again.data(), w.data());
 }
 
 TEST(ShardArtifact, ZeroWorkShardRoundTrips) {
@@ -205,6 +294,32 @@ TEST(ShardMerge, RealizeMatchesFleetRunnerRun) {
                   direct[j].seed_stats.within_envelope);
         EXPECT_EQ(realized[j].primary().result.residual_rms,
                   direct[j].primary().result.residual_rms);
+    }
+}
+
+TEST(ShardMerge, CalibratedMisalignedJobsMatchFleetRunnerRun) {
+    const auto jobs = calibrated_batch();
+    std::vector<FleetShardArtifact> shards;
+    for (std::size_t k = 0; k < 2; ++k) {
+        const auto shard = system::run_fleet_shard(jobs, k, 2);
+        // Through the artifact bytes, as fleet_shard -> fleet_merge would.
+        shards.push_back(system::decode_shard_artifact(
+            system::encode_shard_artifact(shard)));
+    }
+    const auto realized =
+        system::realize_shard_results(system::merge_shards(shards));
+    const auto direct = system::FleetRunner{}.run(jobs);
+    ASSERT_EQ(realized.size(), direct.size());
+    for (std::size_t j = 0; j < direct.size(); ++j) {
+        ASSERT_EQ(realized[j].seeds.size(), direct[j].seeds.size());
+        for (std::size_t s = 0; s < direct[j].seeds.size(); ++s) {
+            util::ByteWriter a, b;
+            system::encode_seed_result(a, realized[j].seeds[s]);
+            system::encode_seed_result(b, direct[j].seeds[s]);
+            EXPECT_EQ(a.data(), b.data())
+                << "job " << j << " seed " << s << " diverged";
+            EXPECT_GT(direct[j].seeds[s].calibration_samples, 0u);
+        }
     }
 }
 

@@ -7,7 +7,6 @@
 #include "core/residual_monitor.hpp"
 #include "math/rotation.hpp"
 #include "sim/scenario.hpp"
-#include "system/experiment.hpp"
 
 // End-to-end physics validation: simulated vehicle + sensor error models +
 // wire-format quantization, decoded exactly as the deployed system would,
@@ -262,7 +261,7 @@ TEST(IntegrationFusion, LeverArmBiasAndCompensation) {
         Vec3 wdot{};
         bool have_prev = false;
         while (auto s = sc.next()) {
-            const auto d = ob::system::decode_step(sc, *s);
+            const auto d = ob::sim::decode_step(sc, *s);
             if (have_prev) {
                 const Vec3 raw = (d.omega - prev) * 100.0;  // 100 Hz
                 wdot += (raw - wdot) * 0.2;

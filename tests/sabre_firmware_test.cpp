@@ -7,7 +7,6 @@
 #include "sabre/assembler.hpp"
 #include "sabre/firmware.hpp"
 #include "sim/scenario.hpp"
-#include "system/experiment.hpp"
 #include "system/sabre_runner.hpp"
 
 // The paper's headline architectural claim: the Kalman fusion runs as
@@ -93,7 +92,7 @@ TEST(SabreFirmware, MatchesNativeFilterOnSameData) {
 
     while (auto s = sc.next()) {
         sabre_sys.push(s->dmu, s->adxl);
-        const auto d = system::decode_step(sc, *s);
+        const auto d = sim::decode_step(sc, *s);
         (void)native.step(d.f_body, d.acc_xy);
     }
     const auto est = sabre_sys.run_pending(2'000'000'000ull);

@@ -8,7 +8,6 @@
 #include "math/rotation.hpp"
 #include "sim/scenario.hpp"
 #include "system/boresight_system.hpp"
-#include "system/experiment.hpp"
 
 namespace {
 
